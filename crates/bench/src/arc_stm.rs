@@ -1,353 +1,21 @@
-//! [`ConformSubject`] drivers wiring the native structures to the
-//! runtime conformance harness (`compass::conform`).
-//!
-//! Each driver stress-runs one `compass-native` structure on real
-//! threads via the `compass-native` recorder (`feature = "recorder"`),
-//! translating results into the event vocabularies the model checker
-//! already uses (`QueueEvent`, `StackEvent`, ...) — the op enums live in
-//! `compass`, not here. Every produced value is distinct
-//! (`(thread+1)*1_000_000 + k`), which is what makes the structural
-//! conformance checks exact: each value has at most one producer and one
-//! taker.
+//! [`ConformSubject`] drivers for the two native structures whose
+//! vocabularies are *not* produce/take — the [`ArcCell`] refcount and
+//! the [`Tml`] transactional store (DESIGN.md §12). Each stress-runs on
+//! real threads via the `compass-native` recorder, translating results
+//! into the event vocabularies the model checker already uses
+//! (`ArcEvent`, `StmEvent`). The produce/take libraries are described
+//! once in [`crate::roles`] instead.
 
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use compass::arc_spec::ArcEvent;
-use compass::conform::{ConformEvent, ConformSubject, History, RoundSpec};
-use compass::deque_spec::DequeEvent;
-use compass::exchanger_spec::ExchangeEvent;
-use compass::queue_spec::QueueEvent;
-use compass::stack_spec::StackEvent;
+use compass::conform::{ConformSubject, History, RoundSpec};
 use compass::stm_spec::StmEvent;
-use compass_native::recorder::{run_round, Clock, Jitter, OpLog, TimedOp};
-use compass_native::{
-    Aborted, ArcCell, ConcurrentQueue, ConcurrentStack, Steal, StrongDrop, Tml, TmlTxn,
-    WeakArcCell, WeakTml,
-};
+use compass_native::recorder::run_round;
+use compass_native::{Aborted, ArcCell, StrongDrop, Tml, TmlTxn, WeakArcCell, WeakTml};
 use orc11::Val;
 
-/// The distinct value produced by thread `index` for its `k`-th produce.
-fn value(index: usize, k: usize) -> i64 {
-    (index as i64 + 1) * 1_000_000 + k as i64
-}
-
-/// Converts recorder logs (thread-indexed) into a conform [`History`].
-fn to_history<E: ConformEvent>(logs: Vec<Vec<TimedOp<E>>>) -> History<E> {
-    History::from_tuples(
-        logs.into_iter()
-            .map(|ops| ops.into_iter().map(|t| (t.op, t.inv, t.resp)).collect())
-            .collect(),
-    )
-}
-
-/// A FIFO queue under conformance test. The factory receives the round's
-/// total produce count, so bounded non-recycling queues ([`
-/// compass_native::HwQueue`]) can size themselves.
-pub struct QueueSubject<Q, F> {
-    name: &'static str,
-    make: F,
-    _q: std::marker::PhantomData<fn() -> Q>,
-}
-
-impl<Q, F> QueueSubject<Q, F>
-where
-    Q: ConcurrentQueue<i64>,
-    F: Fn(usize) -> Q + Sync,
-{
-    /// A named queue subject built by `make(total_enqueues)` each round.
-    pub fn new(name: &'static str, make: F) -> Self {
-        QueueSubject {
-            name,
-            make,
-            _q: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<Q, F> ConformSubject for QueueSubject<Q, F>
-where
-    Q: ConcurrentQueue<i64>,
-    F: Fn(usize) -> Q + Sync,
-{
-    type Ev = QueueEvent;
-
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn round(&self, spec: &RoundSpec) -> History<QueueEvent> {
-        let q = (self.make)(spec.threads * spec.ops_per_thread);
-        let logs = run_round(spec.threads, spec.seed, |ctx, log| {
-            let mut produced = 0;
-            for _ in 0..spec.ops_per_thread {
-                ctx.jitter.stagger();
-                if ctx.jitter.chance(1, 2) {
-                    let v = value(ctx.index, produced);
-                    produced += 1;
-                    log.record(
-                        ctx.clock,
-                        || q.enqueue(v),
-                        |()| Some(QueueEvent::Enq(Val::Int(v))),
-                    );
-                } else {
-                    log.record(
-                        ctx.clock,
-                        || q.dequeue(),
-                        |r| {
-                            Some(match r {
-                                Some(w) => QueueEvent::Deq(Val::Int(*w)),
-                                None => QueueEvent::EmpDeq,
-                            })
-                        },
-                    );
-                }
-            }
-        });
-        to_history(logs)
-    }
-}
-
-/// A LIFO stack under conformance test.
-pub struct StackSubject<S, F> {
-    name: &'static str,
-    make: F,
-    _s: std::marker::PhantomData<fn() -> S>,
-}
-
-impl<S, F> StackSubject<S, F>
-where
-    S: ConcurrentStack<i64>,
-    F: Fn() -> S + Sync,
-{
-    /// A named stack subject built by `make()` each round.
-    pub fn new(name: &'static str, make: F) -> Self {
-        StackSubject {
-            name,
-            make,
-            _s: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<S, F> ConformSubject for StackSubject<S, F>
-where
-    S: ConcurrentStack<i64>,
-    F: Fn() -> S + Sync,
-{
-    type Ev = StackEvent;
-
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn round(&self, spec: &RoundSpec) -> History<StackEvent> {
-        let s = (self.make)();
-        let logs = run_round(spec.threads, spec.seed, |ctx, log| {
-            let mut produced = 0;
-            for _ in 0..spec.ops_per_thread {
-                ctx.jitter.stagger();
-                if ctx.jitter.chance(1, 2) {
-                    let v = value(ctx.index, produced);
-                    produced += 1;
-                    log.record(
-                        ctx.clock,
-                        || s.push(v),
-                        |()| Some(StackEvent::Push(Val::Int(v))),
-                    );
-                } else {
-                    log.record(
-                        ctx.clock,
-                        || s.pop(),
-                        |r| {
-                            Some(match r {
-                                Some(w) => StackEvent::Pop(Val::Int(*w)),
-                                None => StackEvent::EmpPop,
-                            })
-                        },
-                    );
-                }
-            }
-        });
-        to_history(logs)
-    }
-}
-
-/// The SPSC ring under conformance test, checked against the queue
-/// clauses. Always two threads — the structure's contract — whatever the
-/// round asks for: thread 0 produces (blocking pushes; the ring is sized
-/// to the round so they never block indefinitely), thread 1 consumes
-/// with `try_pop`, recording misses as empty dequeues.
-pub struct SpscSubject;
-
-impl ConformSubject for SpscSubject {
-    type Ev = QueueEvent;
-
-    fn name(&self) -> &str {
-        "spsc_ring"
-    }
-
-    fn round(&self, spec: &RoundSpec) -> History<QueueEvent> {
-        let (tx, rx) = compass_native::spsc_ring(spec.ops_per_thread.max(1));
-        let logs = run_round(2, spec.seed, |ctx, log| {
-            if ctx.index == 0 {
-                for k in 0..spec.ops_per_thread {
-                    ctx.jitter.stagger();
-                    let v = value(0, k);
-                    log.record(
-                        ctx.clock,
-                        || tx.push(v),
-                        |()| Some(QueueEvent::Enq(Val::Int(v))),
-                    );
-                }
-            } else {
-                for _ in 0..spec.ops_per_thread {
-                    ctx.jitter.stagger();
-                    log.record(
-                        ctx.clock,
-                        || rx.try_pop(),
-                        |r| {
-                            Some(match r {
-                                Some(w) => QueueEvent::Deq(Val::Int(*w)),
-                                None => QueueEvent::EmpDeq,
-                            })
-                        },
-                    );
-                }
-            }
-        });
-        to_history(logs)
-    }
-}
-
-/// The Chase-Lev work-stealing deque under conformance test: thread 0 is
-/// the owner (pushes and pops), every other thread steals. `Worker` is
-/// single-owner (`Send` but not `Sync`), so this subject hand-rolls the
-/// barrier-started round instead of using `run_round`, moving the worker
-/// endpoint into the owner thread.
-pub struct DequeSubject;
-
-impl ConformSubject for DequeSubject {
-    type Ev = DequeEvent;
-
-    fn name(&self) -> &str {
-        "chase_lev"
-    }
-
-    fn round(&self, spec: &RoundSpec) -> History<DequeEvent> {
-        let threads = spec.threads.max(2);
-        let ops = spec.ops_per_thread;
-        let (worker, stealer) = compass_native::chase_lev(ops.max(1));
-        let clock = Clock::new();
-        let barrier = Barrier::new(threads);
-        let logs: Vec<Vec<TimedOp<DequeEvent>>> = std::thread::scope(|scope| {
-            let owner = {
-                let clock = &clock;
-                let barrier = &barrier;
-                let seed = spec.seed;
-                scope.spawn(move || {
-                    let mut jitter = Jitter::for_thread(seed, 0);
-                    let mut log = OpLog::with_capacity(ops);
-                    barrier.wait();
-                    let mut produced = 0;
-                    for _ in 0..ops {
-                        jitter.stagger();
-                        // Push-biased so thieves have something to fight
-                        // over; the capacity bound is `ops` pushes.
-                        if produced < ops && jitter.chance(2, 3) {
-                            let v = value(0, produced);
-                            produced += 1;
-                            log.record(
-                                clock,
-                                || worker.push(v),
-                                |()| Some(DequeEvent::Push(Val::Int(v))),
-                            );
-                        } else {
-                            log.record(
-                                clock,
-                                || worker.pop(),
-                                |r| {
-                                    Some(match r {
-                                        Some(w) => DequeEvent::Pop(Val::Int(*w)),
-                                        None => DequeEvent::EmpPop,
-                                    })
-                                },
-                            );
-                        }
-                    }
-                    log.into_ops()
-                })
-            };
-            let thieves: Vec<_> = (1..threads)
-                .map(|index| {
-                    let stealer = stealer.clone();
-                    let clock = &clock;
-                    let barrier = &barrier;
-                    let seed = spec.seed;
-                    scope.spawn(move || {
-                        let mut jitter = Jitter::for_thread(seed, index);
-                        let mut log = OpLog::with_capacity(ops);
-                        barrier.wait();
-                        for _ in 0..ops {
-                            jitter.stagger();
-                            // A lost race is not an event: record nothing
-                            // on `Retry`.
-                            log.record(
-                                clock,
-                                || stealer.steal(),
-                                |r| match r {
-                                    Steal::Stolen(w) => Some(DequeEvent::Steal(Val::Int(*w))),
-                                    Steal::Empty => Some(DequeEvent::EmpSteal),
-                                    Steal::Retry => None,
-                                },
-                            );
-                        }
-                        log.into_ops()
-                    })
-                })
-                .collect();
-            let mut logs = vec![owner.join().unwrap()];
-            logs.extend(thieves.into_iter().map(|h| h.join().unwrap()));
-            logs
-        });
-        to_history(logs)
-    }
-}
-
-/// The exchanger under conformance test: every thread repeatedly offers
-/// a distinct value with bounded patience; both successes and timeouts
-/// are recorded (a timeout is an event too — the `CONFORM-XCHG` clauses
-/// only constrain successes).
-pub struct ExchangerSubject;
-
-impl ConformSubject for ExchangerSubject {
-    type Ev = ExchangeEvent;
-
-    fn name(&self) -> &str {
-        "exchanger"
-    }
-
-    fn round(&self, spec: &RoundSpec) -> History<ExchangeEvent> {
-        let ex = compass_native::Exchanger::new();
-        let threads = spec.threads.max(2);
-        let logs = run_round(threads, spec.seed, |ctx, log| {
-            for k in 0..spec.ops_per_thread {
-                ctx.jitter.stagger();
-                let v = value(ctx.index, k);
-                let _ = log.record(
-                    ctx.clock,
-                    || ex.exchange(v, 512),
-                    |r| {
-                        Some(ExchangeEvent {
-                            give: Val::Int(v),
-                            got: r.as_ref().ok().map(|&w| Val::Int(w)),
-                        })
-                    },
-                );
-            }
-        });
-        to_history(logs)
-    }
-}
+use crate::roles::{round_value, to_history};
 
 /// The shared surface of [`ArcCell`] and its weakened control — every
 /// operation returns the observed old count(s) the refcount driver
@@ -470,6 +138,13 @@ where
 
     fn round(&self, spec: &RoundSpec) -> History<ArcEvent> {
         let cell = (self.make)();
+        // Threads past their entry clone. Until a thread holds its own
+        // reference only the creator's keeps the cell alive, so thread 0
+        // must not tear down before everyone is in: a thread descheduled
+        // right after the barrier would otherwise clone a dead cell — a
+        // use-after-free by this *driver*, reported as `CONFORM-ARC-RANGE`
+        // on a correct cell.
+        let entered = AtomicUsize::new(0);
         let logs = run_round(spec.threads, spec.seed, |ctx, log| {
             // References this thread holds. Thread 0 inherits the
             // creator's strong reference so every reference has an
@@ -484,6 +159,7 @@ where
                 |&old| Some(ArcEvent::Clone { old }),
             );
             strong += 1;
+            entered.fetch_add(1, Ordering::Release);
             for _ in 0..spec.ops_per_thread {
                 ctx.jitter.stagger();
                 match ctx.jitter.below(6) {
@@ -537,6 +213,9 @@ where
                         std::hint::black_box(cell.load());
                     }
                 }
+            }
+            while ctx.index == 0 && entered.load(Ordering::Acquire) < spec.threads {
+                std::thread::yield_now();
             }
             // Recorded teardown: release everything still held.
             // Exactly one of the round's final strong drops observes
@@ -682,7 +361,7 @@ where
         let logs = run_round(spec.threads, spec.seed, |ctx, log| {
             for k in 0..spec.ops_per_thread {
                 ctx.jitter.stagger();
-                let tx = value(ctx.index, k);
+                let tx = round_value(ctx.index, k);
                 let mut txn = log.record(
                     ctx.clock,
                     || store.begin(tx),
@@ -703,7 +382,7 @@ where
                     ctx.jitter.stagger();
                     let key = ctx.jitter.below(n_keys as u64) as usize;
                     let ok = if s == write_step {
-                        let v = value(ctx.index, k);
+                        let v = round_value(ctx.index, k);
                         log.record(
                             ctx.clock,
                             || store.write(&mut txn, key, v),
@@ -758,7 +437,6 @@ where
 mod tests {
     use super::*;
     use compass::conform::{run_conformance, ConformOptions};
-    use compass_native::{MsQueue, TreiberStack};
 
     fn quick() -> ConformOptions {
         ConformOptions {
@@ -768,33 +446,6 @@ mod tests {
             seed0: 1,
             ..ConformOptions::default()
         }
-    }
-
-    #[test]
-    fn ms_queue_rounds_conform() {
-        let subject = QueueSubject::new("MsQueue", |_| MsQueue::new());
-        run_conformance(&subject, &quick()).assert_clean();
-    }
-
-    #[test]
-    fn treiber_rounds_conform() {
-        let subject = StackSubject::new("TreiberStack", TreiberStack::new);
-        run_conformance(&subject, &quick()).assert_clean();
-    }
-
-    #[test]
-    fn spsc_rounds_conform() {
-        run_conformance(&SpscSubject, &quick()).assert_clean();
-    }
-
-    #[test]
-    fn chase_lev_rounds_conform() {
-        run_conformance(&DequeSubject, &quick()).assert_clean();
-    }
-
-    #[test]
-    fn exchanger_rounds_conform() {
-        run_conformance(&ExchangerSubject, &quick()).assert_clean();
     }
 
     #[test]

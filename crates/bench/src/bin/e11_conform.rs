@@ -17,15 +17,13 @@
 
 use std::path::PathBuf;
 
-use compass::conform::{recheck, run_conformance, ConformOptions, ConformSubject};
+use compass::conform::{recheck, ConformOptions};
 use compass::queue_spec::QueueEvent;
-use compass_bench::conform_subjects::{
-    DequeSubject, ExchangerSubject, QueueSubject, SpscSubject, StackSubject,
-};
 use compass_bench::metrics::Metrics;
+use compass_bench::roles::{queue, registry, Sizing, Subject};
 use compass_bench::table::Table;
 use compass_native::recorder::seed_from_env;
-use compass_native::{ElimStack, HwQueue, MsQueue, TreiberStack, WeakMsQueue};
+use compass_native::WeakMsQueue;
 use orc11::Json;
 
 /// Retry batches for the positive control: each batch re-runs `rounds`
@@ -57,24 +55,6 @@ fn report_json(report: &compass::CheckReport) -> Json {
         .set("mean_graph_size", report.graph_sizes.mean())
         .set("searches", report.search.searches)
         .set("check_ns", report.check_ns)
-}
-
-fn check_correct<S: ConformSubject>(
-    subject: &S,
-    opts: &ConformOptions,
-    t: &mut Table,
-    m: &mut Metrics,
-) {
-    let report = run_conformance(subject, opts);
-    report_row(t, subject.name(), &report);
-    m.add_phases(&report.phase_ns);
-    m.set(subject.name(), report_json(&report));
-    assert!(
-        report.consistent == report.execs,
-        "{} failed runtime conformance — a TRUE violation on this host:\n{:?}",
-        subject.name(),
-        report.samples
-    );
 }
 
 fn main() {
@@ -119,47 +99,29 @@ fn main() {
         "order searches",
     ]);
 
-    check_correct(
-        &QueueSubject::new("MsQueue", |_| MsQueue::new()),
-        &opts,
-        &mut t,
-        &mut m,
-    );
-    check_correct(
-        &QueueSubject::new("HwQueue", HwQueue::new),
-        &opts,
-        &mut t,
-        &mut m,
-    );
-    check_correct(
-        &StackSubject::new("TreiberStack", TreiberStack::new),
-        &opts,
-        &mut t,
-        &mut m,
-    );
-    check_correct(
-        &StackSubject::new("ElimStack", || ElimStack::new(4, 64)),
-        &opts,
-        &mut t,
-        &mut m,
-    );
-    check_correct(&SpscSubject, &opts, &mut t, &mut m);
-    check_correct(&DequeSubject, &opts, &mut t, &mut m);
-    check_correct(&ExchangerSubject, &opts, &mut t, &mut m);
+    for subject in registry().iter().filter(|s| !s.is_baseline()) {
+        let report = subject.conform(&opts);
+        report_row(&mut t, subject.name(), &report);
+        m.add_phases(&report.phase_ns);
+        m.set(subject.name(), report_json(&report));
+        assert!(
+            report.consistent == report.execs,
+            "{} failed runtime conformance — a TRUE violation on this host:\n{:?}",
+            subject.name(),
+            report.samples
+        );
+    }
 
     // Positive control: the weakened queue must be flagged.
-    let weak = QueueSubject::new("WeakMsQueue", |_| WeakMsQueue::new());
+    let weak = queue("WeakMsQueue", Sizing::FREE, |_| WeakMsQueue::new());
     let mut control = None;
     for batch in 0..CONTROL_BATCHES {
-        let report = run_conformance(
-            &weak,
-            &ConformOptions {
-                seed0: seed + batch * rounds,
-                stop_on_violation: true,
-                bundle_dir: Some(bundle_dir.clone()),
-                ..opts.clone()
-            },
-        );
+        let report = weak.conform(&ConformOptions {
+            seed0: seed + batch * rounds,
+            stop_on_violation: true,
+            bundle_dir: Some(bundle_dir.clone()),
+            ..opts.clone()
+        });
         if report.consistent < report.execs {
             control = Some((batch, report));
             break;

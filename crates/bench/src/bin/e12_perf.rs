@@ -35,25 +35,16 @@ use std::time::Instant;
 
 use compass_bench::metrics::Metrics;
 use compass_bench::perf::{curve_point_json, perf_json, structure_json};
+use compass_bench::roles::{registry, Body};
 use compass_bench::table::Table;
 use compass_bench::timing::{format_ns, LatencyHist};
 use compass_native::perf as nperf;
-use compass_native::{
-    chase_lev, spsc_ring, ArcCell, ConcurrentQueue, ConcurrentStack, ElimStack, Exchanger, HwQueue,
-    MsQueue, MutexQueue, MutexStack, Tml, TreiberStack,
-};
+use compass_native::{ArcCell, Tml};
 use orc11::litmus::{gallery, Litmus};
 use orc11::{Json, ProgressLine};
 
-/// How many elements each structure is seeded with before a round, so
-/// consume-side ops don't start against an empty structure.
-const PREFILL: u64 = 1024;
 /// Ops per progress/claim chunk inside a worker's loop.
 const CHUNK: u64 = 1024;
-
-/// One thread's share of a round: called with consecutive op-index
-/// ranges totalling `ops_per_thread`.
-type Body = Box<dyn FnMut(Range<u64>) + Send>;
 
 /// Runs one closed-loop round: `bodies.len()` threads, barrier-started,
 /// each performing `per_thread` ops in chunks. Returns the slowest
@@ -151,130 +142,6 @@ fn point(
         &merged,
         &by_op,
     )
-}
-
-/// Parity-mixed closed loop over any [`ConcurrentQueue`]: even op
-/// indices (staggered by thread) enqueue, odd dequeue.
-fn queue_bodies<Q: ConcurrentQueue<u64> + 'static>(
-    q: Arc<Q>,
-    threads: usize,
-    _per_thread: u64,
-) -> Vec<Body> {
-    for k in 0..PREFILL {
-        q.enqueue(k);
-    }
-    (0..threads)
-        .map(|tid| {
-            let q = q.clone();
-            Box::new(move |range: Range<u64>| {
-                for i in range {
-                    if (i + tid as u64) & 1 == 0 {
-                        q.enqueue((tid as u64 + 1) * 1_000_000 + i);
-                    } else {
-                        std::hint::black_box(q.dequeue());
-                    }
-                }
-            }) as Body
-        })
-        .collect()
-}
-
-/// Same parity mix over any [`ConcurrentStack`].
-fn stack_bodies<S: ConcurrentStack<u64> + 'static>(
-    s: Arc<S>,
-    threads: usize,
-    _per_thread: u64,
-) -> Vec<Body> {
-    for k in 0..PREFILL {
-        s.push(k);
-    }
-    (0..threads)
-        .map(|tid| {
-            let s = s.clone();
-            Box::new(move |range: Range<u64>| {
-                for i in range {
-                    if (i + tid as u64) & 1 == 0 {
-                        s.push((tid as u64 + 1) * 1_000_000 + i);
-                    } else {
-                        std::hint::black_box(s.pop());
-                    }
-                }
-            }) as Body
-        })
-        .collect()
-}
-
-/// All threads rendezvous on one exchanger; unpaired attempts time out
-/// and count as (failed) exchanges.
-fn exchanger_bodies(threads: usize, _per_thread: u64) -> Vec<Body> {
-    let ex: Arc<Exchanger<u64>> = Arc::new(Exchanger::new());
-    (0..threads)
-        .map(|tid| {
-            let ex = ex.clone();
-            Box::new(move |range: Range<u64>| {
-                for i in range {
-                    std::hint::black_box(ex.exchange((tid as u64 + 1) * 1_000_000 + i, 256).ok());
-                }
-            }) as Body
-        })
-        .collect()
-}
-
-/// Fixed 2-thread pipeline through the SPSC ring: thread 0 blocking-
-/// pushes `per_thread` items, thread 1 pops until it has `per_thread`
-/// (spinning on the instrumented `try_pop`, so misses are sampled too).
-fn spsc_bodies(_threads: usize, _per_thread: u64) -> Vec<Body> {
-    let (tx, rx) = spsc_ring::<u64>(4096);
-    let mut tx = Some(tx);
-    let mut rx = Some(rx);
-    vec![
-        {
-            let tx = tx.take().expect("producer half");
-            Box::new(move |range: Range<u64>| {
-                for i in range {
-                    tx.push(i);
-                }
-            }) as Body
-        },
-        {
-            let rx = rx.take().expect("consumer half");
-            Box::new(move |range: Range<u64>| {
-                for _ in range {
-                    while rx.try_pop().is_none() {
-                        std::hint::spin_loop();
-                    }
-                }
-            }) as Body
-        },
-    ]
-}
-
-/// Chase-Lev: thread 0 owns the deque (parity-mixed push/pop), the rest
-/// steal. Capacity covers the owner's total pushes — the deque's buffer
-/// is not a ring (see `compass_native::Worker::push`).
-fn chase_lev_bodies(threads: usize, per_thread: u64) -> Vec<Body> {
-    let (worker, stealer) = chase_lev::<u64>((per_thread / 2 + PREFILL + 2) as usize);
-    for k in 0..PREFILL.min(per_thread / 2) {
-        worker.push(k);
-    }
-    let mut bodies: Vec<Body> = vec![Box::new(move |range: Range<u64>| {
-        for i in range {
-            if i & 1 == 0 {
-                worker.push(i);
-            } else {
-                std::hint::black_box(worker.pop());
-            }
-        }
-    })];
-    for _ in 1..threads {
-        let s = stealer.clone();
-        bodies.push(Box::new(move |range: Range<u64>| {
-            for _ in range {
-                std::hint::black_box(s.steal());
-            }
-        }));
-    }
-    bodies
 }
 
 /// Refcount churn on one shared [`ArcCell`]: clones, load+drop pairs,
@@ -390,78 +257,35 @@ fn main() {
 
     println!("E12 — performance trajectory ({per_thread} ops/thread, litmus budget {budget})\n");
 
-    // name, kind, baseline, thread counts, body factory.
+    // name, kind, baseline, thread counts, body factory: the registry's
+    // produce/take libraries (each at the distinct thread counts it
+    // actually runs — the SPSC ring always 2, the exchanger never 1),
+    // then the refcount and the transactional store.
     type Spec<'a> = (
         &'a str,
         &'a str,
         bool,
         Vec<usize>,
-        Box<dyn Fn(usize, u64) -> Vec<Body>>,
+        Box<dyn Fn(usize, u64) -> Vec<Body> + 'a>,
     );
-    let all = tcounts.clone();
-    let multi: Vec<usize> = tcounts.iter().copied().filter(|&t| t >= 2).collect();
-    let hw_cap = move |threads: usize, ops: u64| (PREFILL + threads as u64 * ops + 1) as usize;
-    let structures: Vec<Spec> = vec![
-        (
-            "MsQueue",
-            "queue",
-            false,
-            all.clone(),
-            Box::new(|t, n| queue_bodies(Arc::new(MsQueue::new()), t, n)),
-        ),
-        (
-            "HwQueue",
-            "queue",
-            false,
-            all.clone(),
-            Box::new(move |t, n| queue_bodies(Arc::new(HwQueue::new(hw_cap(t, n))), t, n)),
-        ),
-        (
-            "TreiberStack",
-            "stack",
-            false,
-            all.clone(),
-            Box::new(|t, n| stack_bodies(Arc::new(TreiberStack::new()), t, n)),
-        ),
-        (
-            "ElimStack",
-            "stack",
-            false,
-            all.clone(),
-            Box::new(|t, n| stack_bodies(Arc::new(ElimStack::new(4, 256)), t, n)),
-        ),
-        (
-            "exchanger",
-            "exchange",
-            false,
-            if multi.is_empty() { vec![2] } else { multi },
-            Box::new(exchanger_bodies),
-        ),
-        ("spsc_ring", "spsc", false, vec![2], Box::new(spsc_bodies)),
-        (
-            "chase_lev",
-            "deque",
-            false,
-            all.clone(),
-            Box::new(chase_lev_bodies),
-        ),
-        ("ArcCell", "arc", false, all.clone(), Box::new(arc_bodies)),
-        ("Tml", "stm", false, all.clone(), Box::new(stm_bodies)),
-        (
-            "MutexQueue",
-            "queue",
-            true,
-            all.clone(),
-            Box::new(|t, n| queue_bodies(Arc::new(MutexQueue::new()), t, n)),
-        ),
-        (
-            "MutexStack",
-            "stack",
-            true,
-            all.clone(),
-            Box::new(|t, n| stack_bodies(Arc::new(MutexStack::new()), t, n)),
-        ),
-    ];
+    let libraries = registry();
+    let mut structures: Vec<Spec> = libraries
+        .iter()
+        .map(|lib| {
+            let mut counts: Vec<usize> = tcounts.iter().map(|&t| lib.threads(t)).collect();
+            counts.dedup();
+            let make = Box::new(move |t, n| lib.perf_bodies(t, n));
+            (lib.name(), lib.kind(), lib.is_baseline(), counts, make as _)
+        })
+        .collect();
+    structures.push((
+        "ArcCell",
+        "arc",
+        false,
+        tcounts.clone(),
+        Box::new(arc_bodies),
+    ));
+    structures.push(("Tml", "stm", false, tcounts.clone(), Box::new(stm_bodies)));
 
     let mut table = Table::new(&["structure", "threads", "Mops/s", "p50", "p99", "p999"]);
     let mut structures_json = Json::arr();

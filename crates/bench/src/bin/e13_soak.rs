@@ -27,22 +27,18 @@
 //! to turn the <10% overhead target into a hard assertion (off by
 //! default: CI machines are noisy).
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use compass::conform::recheck;
 use compass::queue_spec::QueueEvent;
 use compass::soak::{LoopMode, SoakReport};
 use compass_bench::metrics::Metrics;
-use compass_bench::soak_subjects::{
-    outcome_json, slice_budget, soak_chase_lev, soak_exchanger, soak_produce_take, soak_spsc,
-    QueueSoak, SoakOutcome, SoakRunOptions, StackSoak,
-};
+use compass_bench::roles::{queue, registry, Sizing};
+use compass_bench::soak::{outcome_json, slice_budget, soak, SoakOutcome, SoakRunOptions};
 use compass_bench::table::Table;
 use compass_native::recorder::seed_from_env;
-use compass_native::{
-    ConcurrentQueue, ElimStack, HwQueue, MsQueue, MutexQueue, MutexStack, RingQueue, TreiberStack,
-    WeakMsQueue,
-};
+use compass_native::{ConcurrentQueue, MsQueue, RingQueue, WeakMsQueue};
 use orc11::Json;
 
 /// The bounded Vyukov ring under the soak mix: the blocking
@@ -80,15 +76,6 @@ impl ConcurrentQueue<i64> for ShedRing {
 /// bounded either way.
 const CONTROL_ATTEMPTS: u64 = 4;
 
-/// Per-thread produce cap for the bounded-capacity HwQueue (its slot
-/// array is sized `threads * cap`; producers at the cap consume
-/// instead, which is the structure's designed end-of-life regime).
-const HW_CAP_PER_THREAD: u64 = 250_000;
-
-fn fmt_mops(r: &SoakReport) -> String {
-    format!("{:.2}", r.soak_ops_per_sec / 1e6)
-}
-
 fn fmt_violations(r: &SoakReport) -> String {
     if r.violations.is_empty() {
         "none".to_string()
@@ -105,7 +92,7 @@ fn report_row(t: &mut Table, out: &SoakOutcome) {
     let r = &out.report;
     t.row(&[
         r.subject.clone(),
-        fmt_mops(r),
+        format!("{:.2}", r.soak_ops_per_sec / 1e6),
         format!("{:.1}%", r.overhead_pct),
         format!(
             "{}/{}/{}/{}",
@@ -258,119 +245,43 @@ fn main() {
         );
     };
 
-    // Closed-loop saturation matrix.
-    let msq = run(
-        soak_produce_take(
-            "MsQueue",
-            || QueueSoak {
-                queue: MsQueue::new(),
-            },
-            &base,
-        ),
-        true,
-        true,
-    );
-    let hwq = run(
-        soak_produce_take(
-            "HwQueue",
-            || QueueSoak {
-                queue: HwQueue::new(threads.max(1) * HW_CAP_PER_THREAD as usize),
-            },
-            &SoakRunOptions {
-                produce_cap_per_thread: HW_CAP_PER_THREAD,
-                ..base.clone()
-            },
-        ),
-        true,
-        true,
-    );
-    let treiber = run(
-        soak_produce_take(
-            "TreiberStack",
-            || StackSoak {
-                stack: TreiberStack::new(),
-            },
-            &base,
-        ),
-        true,
-        true,
-    );
-    let elim = run(
-        soak_produce_take(
-            "ElimStack",
-            || StackSoak {
-                stack: ElimStack::new(4, 64),
-            },
-            &base,
-        ),
-        true,
-        true,
-    );
-    run(soak_spsc(1024, &base), true, true);
-    run(soak_chase_lev(1 << 20, &base), true, true);
+    // The registry: the paper's structures, then the coarse mutex
+    // baselines, plus (local to this experiment — its shedding adapter
+    // is soak-specific) the bounded Vyukov ring. Baselines soak under
+    // the same regime (and are checked against the same specs — a
+    // correct baseline must soak clean), but they are excluded from
+    // the overhead headline, which is about the paper's structures.
+    // Value-sampled vocabularies saturate closed-loop; one recorded in
+    // full (the exchanger — pairwise) is rate-bounded by open-loop
+    // arrival-rate control instead.
+    let ring = queue("RingQueue", Sizing::FREE, |_| {
+        ShedRing(RingQueue::new(1024))
+    })
+    .baseline();
+    let mut subjects = registry();
+    subjects.push(Box::new(ring));
+    let mut rates: BTreeMap<&str, f64> = BTreeMap::new();
+    for subject in &subjects {
+        let paced = subject.recorded_in_full();
+        let mut opts = base.clone();
+        if paced {
+            opts.mode = LoopMode::Open {
+                ops_per_sec: full_record_rate,
+            };
+        }
+        let saturated = !paced && !subject.is_baseline();
+        let out = run(subject.soak(&opts), true, saturated);
+        if paced {
+            assert_sustained(&out, full_record_rate * subject.threads(threads) as u64);
+        }
+        rates.insert(subject.name(), out.report.soak_ops_per_sec);
+    }
 
-    // Baseline references: the coarse mutex structures and the bounded
-    // Vyukov ring. They soak under the same regime (and are checked
-    // against the same specs — a correct baseline must soak clean), but
-    // they are excluded from the overhead headline, which is about the
-    // paper's structures.
-    let mutex_q = run(
-        soak_produce_take(
-            "MutexQueue",
-            || QueueSoak {
-                queue: MutexQueue::new(),
-            },
-            &base,
-        ),
-        true,
-        false,
-    );
-    let mutex_s = run(
-        soak_produce_take(
-            "MutexStack",
-            || StackSoak {
-                stack: MutexStack::new(),
-            },
-            &base,
-        ),
-        true,
-        false,
-    );
-    let ring_q = run(
-        soak_produce_take(
-            "RingQueue",
-            || QueueSoak {
-                queue: ShedRing(RingQueue::new(1024)),
-            },
-            &base,
-        ),
-        true,
-        false,
-    );
-
-    // Open-loop arrival-rate control: the exchanger records in full
-    // (pairwise), so its load is rate-bounded; the paced MsQueue run
-    // exercises the same generator on a value-sampled vocabulary.
+    // The same open-loop generator on a value-sampled vocabulary.
+    let paced_msq = queue("MsQueue (open 200k/s)", Sizing::FREE, |_| MsQueue::new());
     let out = run(
-        soak_exchanger(
-            64,
-            &SoakRunOptions {
-                mode: LoopMode::Open {
-                    ops_per_sec: full_record_rate,
-                },
-                ..base.clone()
-            },
-        ),
-        true,
-        false,
-    );
-    assert_sustained(&out, full_record_rate * threads as u64);
-    let out = run(
-        soak_produce_take(
-            "MsQueue (open 200k/s)",
-            || QueueSoak {
-                queue: MsQueue::new(),
-            },
+        soak(
+            &paced_msq,
             &SoakRunOptions {
                 mode: LoopMode::Open {
                     ops_per_sec: 200_000,
@@ -387,13 +298,11 @@ fn main() {
     // within a bounded number of epochs. Full recording (the dup is a
     // value-level signature) at an open-loop rate that keeps full-
     // sampling slices small.
+    let weak = queue("WeakMsQueue", Sizing::FREE, |_| WeakMsQueue::new());
     let mut control = None;
     for attempt in 0..CONTROL_ATTEMPTS {
-        let out = soak_produce_take(
-            "WeakMsQueue",
-            || QueueSoak {
-                queue: WeakMsQueue::new(),
-            },
+        let out = soak(
+            &weak,
             &SoakRunOptions {
                 sample_per_mille: 1000,
                 target_events_per_epoch: 0,
@@ -422,19 +331,22 @@ fn main() {
     // Native-vs-baseline throughput ratios, from the recorded soak
     // segments above (same regime, same box, same recording fraction
     // sizing — the contrast is the structure, not the harness).
-    let ratio = |native: &SoakOutcome, baseline: &SoakOutcome| {
-        native.report.soak_ops_per_sec / baseline.report.soak_ops_per_sec.max(1e-9)
-    };
-    let ratios: Vec<(&str, f64)> = vec![
-        ("MsQueue/MutexQueue", ratio(&msq, &mutex_q)),
-        ("MsQueue/RingQueue", ratio(&msq, &ring_q)),
-        ("HwQueue/RingQueue", ratio(&hwq, &ring_q)),
-        ("TreiberStack/MutexStack", ratio(&treiber, &mutex_s)),
-        ("ElimStack/MutexStack", ratio(&elim, &mutex_s)),
-    ];
+    let ratios: Vec<(String, f64)> = [
+        ("MsQueue", "MutexQueue"),
+        ("MsQueue", "RingQueue"),
+        ("HwQueue", "RingQueue"),
+        ("TreiberStack", "MutexStack"),
+        ("ElimStack", "MutexStack"),
+    ]
+    .iter()
+    .map(|(native, baseline)| {
+        let ratio = rates[native] / rates[baseline].max(1e-9);
+        (format!("{native}/{baseline}"), ratio)
+    })
+    .collect();
     let mut rt = Table::new(&["native/baseline", "ratio"]);
     for (name, r) in &ratios {
-        rt.row(&[name.to_string(), format!("{r:.2}x")]);
+        rt.row(&[name.clone(), format!("{r:.2}x")]);
     }
     println!("native vs baseline throughput (soak segment, recorded):\n{rt}");
 

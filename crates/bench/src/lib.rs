@@ -12,10 +12,15 @@
 //! | `e6_sizes` | §1.2 — mechanization-size table analogue |
 //! | `e7_spsc` | §3.2 — SPSC client |
 //! | `e8_litmus` | §2.3/§5 — substrate litmus gallery |
-//! | `e11_conform` | runtime conformance: native structures vs. the specs (DESIGN.md §7) |
-//! | `e12_perf` | performance trajectory: latency/throughput curves + explorer speed (DESIGN.md §9) |
-//! | `e13_soak` | soak: online streaming conformance at saturation ([`soak_subjects`]; DESIGN.md §11) |
-//! | `e14_arc_stm` | refcount & TM specs on both rails: model DFS/DPOR + conformance (DESIGN.md §12) |
+//! | `e11_conform` | runtime conformance: native structures vs. the specs ([`roles`]; DESIGN.md §7) |
+//! | `e12_perf` | performance trajectory: latency/throughput curves + explorer speed ([`roles::Subject::perf_bodies`]; DESIGN.md §9) |
+//! | `e13_soak` | soak: online streaming conformance at saturation ([`soak`]; DESIGN.md §11) |
+//! | `e14_arc_stm` | refcount & TM specs on both rails: model DFS/DPOR + conformance ([`arc_stm`]; DESIGN.md §12) |
+//!
+//! The native rail states each produce/take library **once**, as roles
+//! plus a [`roles::registry`] row; `e11`'s recorded rounds, `e12`'s
+//! perf bodies and `e13`'s soak loop are generic drivers over that one
+//! description.
 //!
 //! The `benches/` directory holds the performance benchmarks (P1 queues,
 //! P2 stacks, P3 checker throughput, P4 SPSC), built on the in-tree
@@ -25,10 +30,11 @@
 
 #![warn(missing_docs)]
 
-pub mod conform_subjects;
+pub mod arc_stm;
 pub mod metrics;
 pub mod perf;
-pub mod soak_subjects;
+pub mod roles;
+pub mod soak;
 pub mod table;
 pub mod timing;
 pub mod workloads;

@@ -53,7 +53,8 @@ fn temp_root() -> PathBuf {
 
 #[test]
 fn saved_bundle_replays_deterministically() {
-    let root = temp_root();
+    // Own subdirectory: the tests run in parallel and each removes its root.
+    let root = temp_root().join("saved");
     let _ = fs::remove_dir_all(&root);
 
     let opts = CheckOptions {

@@ -1,5 +1,5 @@
 //! Integration tests for the soak engine driven end-to-end through the
-//! bench drivers (`soak_subjects`): real OS threads mutating real
+//! bench driver (`compass_bench::soak`): real OS threads mutating real
 //! native structures, sharded epoch recording, and the streaming
 //! `CONFORM-*` checks running concurrently with the workload.
 //!
@@ -12,10 +12,9 @@
 use compass::conform;
 use compass::queue_spec::QueueEvent;
 use compass::soak::LoopMode;
-use compass_bench::soak_subjects::{
-    soak_produce_take, soak_spsc, QueueSoak, SoakRunOptions, StackSoak,
-};
-use compass_native::{MsQueue, TreiberStack, WeakMsQueue};
+use compass_bench::roles::{queue, registry, stack, Sizing};
+use compass_bench::soak::{soak, SoakRunOptions};
+use compass_native::{TreiberStack, WeakMsQueue};
 
 /// A small preset that still seals enough epochs for the accounting
 /// invariants to bite.
@@ -33,25 +32,25 @@ fn small() -> SoakRunOptions {
     }
 }
 
+/// Every library in the registry soaks clean.
 #[test]
 fn clean_structures_soak_clean_and_balanced() {
     let opts = small();
-    let queue = soak_produce_take(
-        "MsQueue",
-        || QueueSoak {
-            queue: MsQueue::new(),
-        },
-        &opts,
-    );
-    let stack = soak_produce_take(
-        "TreiberStack",
-        || StackSoak {
-            stack: TreiberStack::new(),
-        },
-        &opts,
-    );
-    let spsc = soak_spsc(256, &opts);
-    for out in [&queue, &stack, &spsc] {
+    for subject in registry() {
+        // A vocabulary recorded in full (the exchanger) is bounded by
+        // pacing, not sampling: offer about one slice budget per epoch.
+        let mode = if subject.recorded_in_full() {
+            let per_worker = opts.target_events_per_epoch * 1_000 / (2 * opts.rotate_ms);
+            LoopMode::Open {
+                ops_per_sec: per_worker,
+            }
+        } else {
+            opts.mode
+        };
+        let out = subject.soak(&SoakRunOptions {
+            mode,
+            ..opts.clone()
+        });
         let r = &out.report;
         // Real-time order under-approximates happens-before, so any
         // violation on a correct structure would be a true violation.
@@ -72,13 +71,11 @@ fn weak_queue_is_flagged_online_and_bundle_rechecks_to_same_clause() {
     let dir = std::env::temp_dir().join(format!("soak-it-{}", std::process::id()));
     // The duplicated-dequeue window is wide under full recording, but
     // it is still a race — retry from derived seeds, bounded.
+    let weak = queue("WeakMsQueue", Sizing::FREE, |_| WeakMsQueue::new());
     let mut flagged = None;
     for attempt in 0..4 {
-        let out = soak_produce_take(
-            "WeakMsQueue",
-            || QueueSoak {
-                queue: WeakMsQueue::new(),
-            },
+        let out = soak(
+            &weak,
             // The e13 positive-control regime, which flags on the
             // first attempt in practice: full recording paced so one
             // epoch holds about a slice budget of events, and enough
@@ -127,11 +124,8 @@ fn overload_sheds_and_degrades_sampling_without_blocking_mutators() {
     // the mutators, and the governor must degrade the sampling
     // fraction. The run still terminates promptly because shedding
     // never waits on the checker.
-    let out = soak_produce_take(
-        "TreiberStack",
-        || StackSoak {
-            stack: TreiberStack::new(),
-        },
+    let out = soak(
+        &stack("TreiberStack", Sizing::FREE, |_| TreiberStack::new()),
         &SoakRunOptions {
             epochs: 16,
             queue_cap: 2,

@@ -52,6 +52,24 @@ pub trait ConformEvent: Copy + Eq + Hash + fmt::Debug + Send + Sync + 'static {
     /// Parses [`Self::encode`]'s output.
     fn decode(s: &str) -> Option<Self>;
 
+    /// The value this event inserts, if it is a produce. This and the
+    /// two methods below are the one place a produce/take vocabulary's
+    /// events are classified: the structural checks here, the soak
+    /// assembler and the native drivers all read them.
+    fn produced(&self) -> Option<Val> {
+        None
+    }
+
+    /// The value this event removes, if it is a successful take.
+    fn taken(&self) -> Option<Val> {
+        None
+    }
+
+    /// Whether this event observed the structure as empty.
+    fn is_empty_observation(&self) -> bool {
+        false
+    }
+
     /// The staged conformance check for this library (see module docs).
     fn check(g: &Graph<Self>) -> SpecResult;
 
@@ -88,26 +106,20 @@ struct TakeRules {
     empty: &'static str,
 }
 
-/// Stages 1 and 2 of the module docs, generic over how the event type
-/// spells "produce", "take", and "observed empty".
-fn check_takes<E: Copy + fmt::Debug>(
-    g: &Graph<E>,
-    produced: impl Fn(&E) -> Option<Val>,
-    taken: impl Fn(&E) -> Option<Val>,
-    observed_empty: impl Fn(&E) -> bool,
-    rules: &TakeRules,
-) -> SpecResult {
+/// Stages 1 and 2 of the module docs, generic over the event type's
+/// produce / take / observed-empty classification.
+fn check_takes<E: ConformEvent>(g: &Graph<E>, rules: &TakeRules) -> SpecResult {
     let mut producers: BTreeMap<Val, Vec<EventId>> = BTreeMap::new();
     let mut takers: BTreeMap<Val, Vec<EventId>> = BTreeMap::new();
     let mut empties: Vec<EventId> = Vec::new();
     for (id, ev) in g.iter() {
-        if let Some(v) = produced(&ev.ty) {
+        if let Some(v) = ev.ty.produced() {
             producers.entry(v).or_default().push(id);
         }
-        if let Some(v) = taken(&ev.ty) {
+        if let Some(v) = ev.ty.taken() {
             takers.entry(v).or_default().push(id);
         }
-        if observed_empty(&ev.ty) {
+        if ev.ty.is_empty_observation() {
             empties.push(id);
         }
     }
@@ -221,17 +233,8 @@ const QUEUE_RULES: TakeRules = TakeRules {
 /// The staged queue conformance check (see module docs).
 pub fn check_conform_queue(g: &Graph<QueueEvent>) -> SpecResult {
     g.check_well_formed()?;
-    check_takes(
-        g,
-        |e| e.enq_value(),
-        |e| match e {
-            QueueEvent::Deq(v) => Some(*v),
-            _ => None,
-        },
-        |e| matches!(e, QueueEvent::EmpDeq),
-        &QUEUE_RULES,
-    )?;
-    let mutators = g.retain(|_, ev| !matches!(ev.ty, QueueEvent::EmpDeq));
+    check_takes(g, &QUEUE_RULES)?;
+    let mutators = g.retain(|_, ev| !ev.ty.is_empty_observation());
     if find_linearization(&mutators, &QueueInterp, &[]).is_none() {
         return Err(Violation::new(
             "CONFORM-QUEUE-ORDER",
@@ -260,17 +263,8 @@ const STACK_RULES: TakeRules = TakeRules {
 /// The staged stack conformance check (see module docs).
 pub fn check_conform_stack(g: &Graph<StackEvent>) -> SpecResult {
     g.check_well_formed()?;
-    check_takes(
-        g,
-        |e| e.push_value(),
-        |e| match e {
-            StackEvent::Pop(v) => Some(*v),
-            _ => None,
-        },
-        |e| matches!(e, StackEvent::EmpPop),
-        &STACK_RULES,
-    )?;
-    let mutators = g.retain(|_, ev| !matches!(ev.ty, StackEvent::EmpPop));
+    check_takes(g, &STACK_RULES)?;
+    let mutators = g.retain(|_, ev| !ev.ty.is_empty_observation());
     if find_linearization(&mutators, &StackInterp, &[]).is_none() {
         return Err(Violation::new(
             "CONFORM-STACK-ORDER",
@@ -324,16 +318,7 @@ pub fn check_conform_deque(g: &Graph<DequeEvent>) -> SpecResult {
             }
         }
     }
-    check_takes(
-        g,
-        |e| e.push_value(),
-        |e| match e {
-            DequeEvent::Pop(v) | DequeEvent::Steal(v) => Some(*v),
-            _ => None,
-        },
-        |e| matches!(e, DequeEvent::EmpPop | DequeEvent::EmpSteal),
-        &DEQUE_RULES,
-    )?;
+    check_takes(g, &DEQUE_RULES)?;
     if find_linearization(&mutator_subgraph(g), &DequeInterp, &[]).is_none() {
         return Err(Violation::new(
             "CONFORM-DEQUE-ORDER",
@@ -579,6 +564,21 @@ impl ConformEvent for QueueEvent {
         parts.next().is_none().then_some(ev)
     }
 
+    fn produced(&self) -> Option<Val> {
+        self.enq_value()
+    }
+
+    fn taken(&self) -> Option<Val> {
+        match self {
+            QueueEvent::Deq(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn is_empty_observation(&self) -> bool {
+        matches!(self, QueueEvent::EmpDeq)
+    }
+
     fn check(g: &Graph<Self>) -> SpecResult {
         check_conform_queue(g)
     }
@@ -606,6 +606,21 @@ impl ConformEvent for StackEvent {
             _ => return None,
         };
         parts.next().is_none().then_some(ev)
+    }
+
+    fn produced(&self) -> Option<Val> {
+        self.push_value()
+    }
+
+    fn taken(&self) -> Option<Val> {
+        match self {
+            StackEvent::Pop(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn is_empty_observation(&self) -> bool {
+        matches!(self, StackEvent::EmpPop)
     }
 
     fn check(g: &Graph<Self>) -> SpecResult {
@@ -639,6 +654,21 @@ impl ConformEvent for DequeEvent {
             _ => return None,
         };
         parts.next().is_none().then_some(ev)
+    }
+
+    fn produced(&self) -> Option<Val> {
+        self.push_value()
+    }
+
+    fn taken(&self) -> Option<Val> {
+        match self {
+            DequeEvent::Pop(v) | DequeEvent::Steal(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn is_empty_observation(&self) -> bool {
+        matches!(self, DequeEvent::EmpPop | DequeEvent::EmpSteal)
     }
 
     fn check(g: &Graph<Self>) -> SpecResult {

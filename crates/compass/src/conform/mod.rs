@@ -16,13 +16,20 @@
 //! at runtime we only observe wall-clock intervals on one shared
 //! monotonic clock. The harness uses the **real-time interval order**:
 //! `a → b` iff `a` *responded strictly before* `b` was *invoked*
-//! ([`History::to_graph`]). On the platforms we run on, an operation's
-//! effects are released no later than its response and acquired no
-//! earlier than its invocation (commit points are release/acquire
-//! accesses inside the interval), so every interval-order edge is a true
-//! happens-before edge: the reconstructed order **under-approximates**
-//! `lhb`. Fewer order constraints can only make *more* candidate
-//! linearizations admissible, therefore:
+//! ([`History::to_graph`]). Timestamps alone do not make that edge a
+//! happens-before edge: an operation's last release store can still sit
+//! in its core's store buffer when the response time is read, so an
+//! operation invoked tens of nanoseconds *later* may legally miss it (a
+//! thief reading the old `bottom` right after a recorded `Push`). The
+//! recorder therefore puts a `SeqCst` fence between the invocation
+//! timestamp and the operation and between the operation and the
+//! response timestamp (`compass_native::recorder::Clock::{inv, resp}`):
+//! every store of `a` is globally visible before `resp(a)` is read, and
+//! no access of `b` is performed before `inv(b)` is read, so
+//! `resp(a) < inv(b)` implies `b` observes all of `a` — a true
+//! happens-before edge. The reconstructed order thus
+//! **under-approximates** `lhb`. Fewer order constraints can only make
+//! *more* candidate linearizations admissible, therefore:
 //!
 //! * a violation this harness reports is a **true violation** — no
 //!   consistent explanation of the observed values and order exists;

@@ -48,7 +48,11 @@ const PAIR_HOLD_CAP: usize = 4096;
 
 /// Event vocabulary the soak assembler understands, layered on
 /// [`ConformEvent`]. Produce/take vocabularies (queue, stack, deque)
-/// use value-level sampling; pairwise vocabularies (exchanger) set
+/// use value-level sampling, driven by [`ConformEvent`]'s
+/// `produced` / `taken` / `is_empty_observation` classification (empty
+/// observations are *not checkable* under epoch slicing — their
+/// refutation may live in another slice — so the assembler counts and
+/// drops them); pairwise vocabularies (exchanger) set
 /// [`PAIRWISE`](SoakEvent::PAIRWISE) and are recorded in full.
 pub trait SoakEvent: ConformEvent {
     /// Whether slices must be assembled pairwise (exchanger-style):
@@ -56,24 +60,6 @@ pub trait SoakEvent: ConformEvent {
     /// present, so drivers record every op and the assembler holds
     /// unpaired successes for their partner instead of tracking values.
     const PAIRWISE: bool = false;
-
-    /// The value this event inserts, if it is a produce.
-    fn produced(&self) -> Option<Val> {
-        None
-    }
-
-    /// The value this event removes, if it is a successful take.
-    fn taken(&self) -> Option<Val> {
-        None
-    }
-
-    /// Whether this event observed the structure as empty. Empty
-    /// observations are *not checkable* under epoch slicing (their
-    /// refutation may live in another slice), so the assembler counts
-    /// and drops them.
-    fn is_empty_observation(&self) -> bool {
-        false
-    }
 
     /// The value offered, for pairwise vocabularies.
     fn offered(&self) -> Option<Val> {
@@ -86,65 +72,9 @@ pub trait SoakEvent: ConformEvent {
     }
 }
 
-impl SoakEvent for QueueEvent {
-    fn produced(&self) -> Option<Val> {
-        match self {
-            QueueEvent::Enq(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn taken(&self) -> Option<Val> {
-        match self {
-            QueueEvent::Deq(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn is_empty_observation(&self) -> bool {
-        matches!(self, QueueEvent::EmpDeq)
-    }
-}
-
-impl SoakEvent for StackEvent {
-    fn produced(&self) -> Option<Val> {
-        match self {
-            StackEvent::Push(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn taken(&self) -> Option<Val> {
-        match self {
-            StackEvent::Pop(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn is_empty_observation(&self) -> bool {
-        matches!(self, StackEvent::EmpPop)
-    }
-}
-
-impl SoakEvent for DequeEvent {
-    fn produced(&self) -> Option<Val> {
-        match self {
-            DequeEvent::Push(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn taken(&self) -> Option<Val> {
-        match self {
-            DequeEvent::Pop(v) | DequeEvent::Steal(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn is_empty_observation(&self) -> bool {
-        matches!(self, DequeEvent::EmpPop | DequeEvent::EmpSteal)
-    }
-}
+impl SoakEvent for QueueEvent {}
+impl SoakEvent for StackEvent {}
+impl SoakEvent for DequeEvent {}
 
 impl SoakEvent for ExchangeEvent {
     const PAIRWISE: bool = true;

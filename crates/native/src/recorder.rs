@@ -40,7 +40,7 @@
 //! `compass` (`QueueEvent`, `StackEvent`, …), so no operation vocabulary
 //! is duplicated here.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -74,9 +74,16 @@ pub fn seed_from_env(default: u64) -> u64 {
 ///
 /// Timestamps are nanoseconds since the clock's creation. `Instant` is
 /// monotonic per the standard library's contract, and a single `Clock`
-/// is shared by all threads, so timestamps are mutually comparable:
-/// if `a.resp < b.inv` then operation `a` really did return before
-/// operation `b` was invoked.
+/// is shared by all threads, so timestamps are mutually comparable.
+///
+/// Comparable timestamps alone do **not** order the operations' memory
+/// effects: an operation's last release store can still sit in the
+/// core's store buffer when a bare [`Clock::now`] reads its "response"
+/// time, so another thread invoked tens of nanoseconds *later* may
+/// legally miss it. Operation intervals are therefore bracketed with
+/// [`Clock::inv`] / [`Clock::resp`], whose `SeqCst` fences make
+/// `a.resp < b.inv` imply that every effect of `a` is visible to `b`
+/// (DESIGN.md §7).
 #[derive(Debug)]
 pub struct Clock {
     epoch: Instant,
@@ -93,6 +100,33 @@ impl Clock {
     /// Nanoseconds elapsed since the epoch.
     pub fn now(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// An invocation timestamp: the clock read, *then* a `SeqCst` fence,
+    /// so none of the operation's accesses is performed before the time
+    /// it claims to start at.
+    pub fn inv(&self) -> u64 {
+        let t = self.now();
+        fence(Ordering::SeqCst);
+        t
+    }
+
+    /// A response timestamp: a `SeqCst` fence, *then* the clock read, so
+    /// every store of the operation has left the store buffer (is
+    /// globally visible) by the time it claims to have ended at.
+    pub fn resp(&self) -> u64 {
+        fence(Ordering::SeqCst);
+        self.now()
+    }
+
+    /// Runs `action` between an [`inv`](Clock::inv) and a
+    /// [`resp`](Clock::resp) timestamp; returns `(result, inv, resp)`
+    /// with `inv <= resp`.
+    pub fn bracket<R>(&self, action: impl FnOnce() -> R) -> (R, u64, u64) {
+        let inv = self.inv();
+        let result = action();
+        let resp = self.resp().max(inv);
+        (result, inv, resp)
     }
 }
 
@@ -117,9 +151,10 @@ pub struct TimedOp<O> {
 /// A thread-owned invocation/response log.
 ///
 /// Exactly one thread appends to a given `OpLog`; ownership moves back
-/// to the coordinator when the round joins. No atomics, no locks — the
-/// recording hot path is a timestamp read, the operation itself, a
-/// second timestamp read, and a `Vec::push`.
+/// to the coordinator when the round joins. No shared state, no locks —
+/// the recording hot path is a fenced timestamp read ([`Clock::inv`]),
+/// the operation itself, a second fenced read ([`Clock::resp`]), and a
+/// `Vec::push`.
 #[derive(Debug)]
 pub struct OpLog<O> {
     ops: Vec<TimedOp<O>>,
@@ -144,15 +179,9 @@ impl<O> OpLog<O> {
         action: impl FnOnce() -> R,
         op_of: impl FnOnce(&R) -> Option<O>,
     ) -> R {
-        let inv = clock.now();
-        let result = action();
-        let resp = clock.now();
+        let (result, inv, resp) = clock.bracket(action);
         if let Some(op) = op_of(&result) {
-            self.ops.push(TimedOp {
-                op,
-                inv,
-                resp: resp.max(inv),
-            });
+            self.ops.push(TimedOp { op, inv, resp });
         }
         result
     }
@@ -172,9 +201,7 @@ impl<O> OpLog<O> {
     where
         I: IntoIterator<Item = O>,
     {
-        let inv = clock.now();
-        let result = action();
-        let resp = clock.now().max(inv);
+        let (result, inv, resp) = clock.bracket(action);
         for op in ops_of(&result) {
             self.ops.push(TimedOp { op, inv, resp });
         }
@@ -412,8 +439,9 @@ impl<O> Shard<O> {
 /// [`OpLog`], plus the epoch-roll check.
 ///
 /// The hot path ([`ShardWriter::record`]) is: one relaxed epoch load,
-/// two clock reads, the operation, and a `Vec::push`. The mailbox lock
-/// is taken only when the epoch has advanced since the last operation.
+/// two fenced clock reads, the operation, and a `Vec::push`. The mailbox
+/// lock is taken only when the epoch has advanced since the last
+/// operation.
 #[derive(Debug)]
 pub struct ShardWriter<'a, O> {
     shard: &'a Shard<O>,
@@ -486,9 +514,7 @@ impl<'a, O> ShardWriter<'a, O> {
         op_of: impl FnOnce(&R) -> Option<O>,
     ) -> (R, u64, u64) {
         self.tick();
-        let inv = clock.now();
-        let result = action();
-        let resp = clock.now().max(inv);
+        let (result, inv, resp) = clock.bracket(action);
         if let Some(op) = op_of(&result) {
             self.buf.push(TimedOp { op, inv, resp });
         }
@@ -503,7 +529,9 @@ impl<'a, O> ShardWriter<'a, O> {
     /// `inv` no later than the true invocation, `resp` no earlier than
     /// the true response. Widening only removes real-time precedence
     /// edges, so checks stay sound (see DESIGN.md §11). `resp` is
-    /// clamped to `>= inv`.
+    /// clamped to `>= inv`. Both ends must come from [`Clock::inv`] /
+    /// [`Clock::resp`]: widening moves the timestamps, it does not
+    /// replace the fences that make them mean anything.
     pub fn record_at(&mut self, op: O, inv: u64, resp: u64) {
         self.tick();
         self.buf.push(TimedOp {

@@ -22,7 +22,7 @@ use compass::checker::{check_executions_with, CheckOptions, Exploration};
 use compass::conform::{recheck, run_conformance, ConformOptions, ConformSubject};
 use compass::stm_spec::check_stm_consistent;
 use compass::CheckReport;
-use compass_bench::conform_subjects::{ArcSubject, StmSubject};
+use compass_bench::arc_stm::{ArcSubject, StmSubject};
 use compass_native::{WeakArcCell, WeakTml};
 use compass_repro::structures::arc::ModelArc;
 use compass_repro::structures::buggy::{RelaxedArc, UnvalidatedTml};

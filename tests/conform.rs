@@ -2,14 +2,12 @@
 //! record → reconstruct → check → bundle → recheck pipeline, on both
 //! hand-built histories and real native executions (DESIGN.md §7).
 
-use compass::conform::{linearize, recheck, run_conformance, ConformOptions, History};
+use compass::conform::{linearize, recheck, ConformOptions, History};
 use compass::queue_spec::QueueEvent::{self, Deq, EmpDeq, Enq};
 use compass::stack_spec::StackEvent;
 use compass::EventId;
-use compass_bench::conform_subjects::{
-    DequeSubject, ExchangerSubject, QueueSubject, SpscSubject, StackSubject,
-};
-use compass_native::{MsQueue, TreiberStack, WeakMsQueue};
+use compass_bench::roles::{chase_lev, queue, registry, Sizing, Subject};
+use compass_native::WeakMsQueue;
 use orc11::Val;
 
 fn int(i: i64) -> Val {
@@ -67,20 +65,39 @@ fn quick(rounds: u64) -> ConformOptions {
     }
 }
 
-/// Correct native structures pass runtime conformance (a failure here
-/// would be a true violation on this host — see the soundness notes in
-/// `compass::conform`).
+/// Every library in the registry passes runtime conformance (a failure
+/// here would be a true violation on this host — see the soundness
+/// notes in `compass::conform`).
 #[test]
 fn correct_native_structures_conform() {
-    run_conformance(&QueueSubject::new("MsQueue", |_| MsQueue::new()), &quick(4)).assert_clean();
-    run_conformance(
-        &StackSubject::new("TreiberStack", TreiberStack::new),
-        &quick(4),
-    )
-    .assert_clean();
-    run_conformance(&SpscSubject, &quick(4)).assert_clean();
-    run_conformance(&DequeSubject, &quick(4)).assert_clean();
-    run_conformance(&ExchangerSubject, &quick(4)).assert_clean();
+    for subject in registry() {
+        subject.conform(&quick(4)).assert_clean();
+    }
+}
+
+/// Regression: timestamps alone do not make `resp(a) < inv(b)` a
+/// happens-before edge. With both cores kept busy, a thief invoked a
+/// few dozen nanoseconds after a push's recorded response would read
+/// the old `bottom` out from under the push's still-buffered release
+/// store, and an unfenced recorder flagged a correct deque with
+/// `CONFORM-DEQUE-EMPTY` in roughly one round in ten. The `SeqCst`
+/// fences bracketing the recorder's clock reads rule that out
+/// (DESIGN.md §7).
+#[test]
+fn deque_conforms_with_spinning_neighbours() {
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        let report = chase_lev().conform(&quick(320));
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        report.assert_clean();
+    });
 }
 
 /// The positive control: the deliberately weakened queue is flagged
@@ -90,19 +107,16 @@ fn correct_native_structures_conform() {
 fn weak_queue_is_flagged_and_its_bundle_rechecks() {
     let root = std::env::temp_dir().join(format!("compass-conform-it-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let weak = QueueSubject::new("WeakMsQueue", |_| WeakMsQueue::new());
+    let weak = queue("WeakMsQueue", Sizing::FREE, |_| WeakMsQueue::new());
     let mut flagged = None;
     for batch in 0..10u64 {
-        let report = run_conformance(
-            &weak,
-            &ConformOptions {
-                seed0: 1 + batch * 50,
-                rounds: 50,
-                stop_on_violation: true,
-                bundle_dir: Some(root.clone()),
-                ..quick(50)
-            },
-        );
+        let report = weak.conform(&ConformOptions {
+            seed0: 1 + batch * 50,
+            rounds: 50,
+            stop_on_violation: true,
+            bundle_dir: Some(root.clone()),
+            ..quick(50)
+        });
         if report.consistent < report.execs {
             flagged = Some(report);
             break;
