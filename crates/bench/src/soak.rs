@@ -146,11 +146,13 @@ impl Default for SoakRunOptions {
 /// A per-epoch slice-size budget that keeps the streaming checks
 /// comfortably cheaper than the rotation interval.
 ///
-/// The staged `CONFORM-*` checks are super-quadratic in slice size
-/// *and* sharply sensitive to row count (measured on this machine: a
-/// 4-thread 384-event history checks in ~100ms, a 2-thread history
-/// several times larger in single-digit ms), so the budget scales as
-/// `1/threads²`. Drivers feed this into
+/// The linearization search's node count grows exponentially with the
+/// number of overlapping operations, which grows with the thread count,
+/// so the budget scales as `1/threads²`. (The numbers were sized when
+/// the polynomial part of the check was still cubic in slice size; on
+/// dense `lhb` rows that part is about a millisecond at 512 events —
+/// DESIGN.md §7 — so the budget is now conservative for the
+/// near-sequential histories sampling produces.) Drivers feed this into
 /// [`SoakRunOptions::target_events_per_epoch`]; the engine's
 /// `max_epoch_events` guard (sized from the same number) sheds any
 /// epoch that overshoots it anyway.

@@ -13,6 +13,7 @@
 use std::fmt::Debug;
 use std::fmt::Write as _;
 
+use crate::bits;
 use crate::event::EventId;
 use crate::graph::Graph;
 
@@ -61,17 +62,30 @@ pub fn to_dot_flagged<T: Debug>(g: &Graph<T>, name: &str, flagged: &[EventId]) -
         let _ = writeln!(out, "  {a} -> {b} [color=blue, penwidth=2];");
     }
     // lhb, transitively reduced, dashed (skip edges implied by others and
-    // mutual helping pairs' back-edges beyond id order).
-    for (d, ev) in g.iter() {
-        let preds: Vec<EventId> = ev
-            .logview
-            .iter()
-            .copied()
-            .filter(|&e| e != d && !(g.lhb(d, e) && e > d))
+    // mutual helping pairs' back-edges beyond id order). `e -> d` is
+    // implied when `e` lies strictly below another predecessor `m` of
+    // `d`: one union of the predecessors' rows per event answers that
+    // for every `e` at once.
+    let mut below = Vec::new();
+    for (d, _) in g.iter() {
+        let preds: Vec<EventId> = bits::ones(g.row(d))
+            .map(|e| EventId::from_raw(e as u64))
+            .filter(|&e| e != d && !(e > d && g.lhb(d, e)))
             .collect();
+        below.clear();
+        below.resize(g.row(d).len(), 0u64);
+        for &m in &preds {
+            let own = bits::test(&below, m.index());
+            for (acc, &word) in below.iter_mut().zip(g.row(m)) {
+                *acc |= word;
+            }
+            // `m` is in its own row but not strictly below itself.
+            if !own {
+                bits::clear(&mut below, m.index());
+            }
+        }
         for &e in &preds {
-            let implied = preds.iter().any(|&m| m != e && g.lhb(e, m));
-            if !implied && !g.so().contains(&(e, d)) {
+            if !bits::test(&below, e.index()) && !g.so().contains(&(e, d)) {
                 let _ = writeln!(out, "  {e} -> {d} [style=dashed, color=gray40];");
             }
         }

@@ -5,6 +5,7 @@ use std::fmt;
 
 use orc11::ThreadId;
 
+use crate::bits;
 use crate::event::{Event, EventId};
 use crate::spec::{SpecResult, Violation};
 
@@ -13,8 +14,13 @@ use crate::spec::{SpecResult, Violation};
 /// between matched operations (enqueue/dequeue, push/pop, or a pair of
 /// successful exchanges).
 ///
-/// Local happens-before (`lhb`) is not stored separately: `(e, d) ∈ G.lhb`
-/// iff `e ∈ G(d).logview` (see [`Graph::lhb`]).
+/// Local happens-before (`lhb`) is not a relation of its own:
+/// `(e, d) ∈ G.lhb` iff `e ∈ G(d).logview` (see [`Graph::lhb`]). The
+/// logviews are the public, printed form; next to them the graph keeps
+/// one dense bit row per event (bit `e` of row `d` ⇔ `e ∈ logview(d)`),
+/// so an `lhb` question is a bit test and a closure or readiness
+/// question a few word operations per row. The rows are derived data:
+/// they take no part in `==` or `{:?}`.
 ///
 /// ```
 /// use compass::{EventId, Graph};
@@ -28,10 +34,38 @@ use crate::spec::{SpecResult, Violation};
 /// assert_eq!(g.so_source(d), Some(e));
 /// g.check_well_formed().unwrap();
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Graph<T> {
     events: Vec<Event<T>>,
     so: BTreeSet<(EventId, EventId)>,
+    /// Row `d` is `rows[d * stride..][..stride]`. Flat, so a graph of up
+    /// to 64 events holds one word per event in one allocation.
+    rows: Vec<u64>,
+    /// Words per row: `events.len().div_ceil(64)`.
+    stride: usize,
+    /// The logview entries `(d, e)` the rows cannot hold because `e` is
+    /// not an event (yet), in `(d, e)` order. A helping pair puts the
+    /// second event's id in the first one's logview, and the entry moves
+    /// into the rows when that event is added; an id that never becomes
+    /// an event stays here, which is what `WF-LOGVIEW` reports.
+    forward: Vec<(EventId, EventId)>,
+}
+
+impl<T: PartialEq> PartialEq for Graph<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.events == other.events && self.so == other.so
+    }
+}
+
+impl<T: Eq> Eq for Graph<T> {}
+
+impl<T: fmt::Debug> fmt::Debug for Graph<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Graph")
+            .field("events", &self.events)
+            .field("so", &self.so)
+            .finish()
+    }
 }
 
 impl<T> Graph<T> {
@@ -40,6 +74,9 @@ impl<T> Graph<T> {
         Graph {
             events: Vec::new(),
             so: BTreeSet::new(),
+            rows: Vec::new(),
+            stride: 0,
+            forward: Vec::new(),
         }
     }
 
@@ -81,8 +118,25 @@ impl<T> Graph<T> {
     }
 
     /// Local happens-before: `e` happens before `d` (strictly).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is not in the graph.
     pub fn lhb(&self, e: EventId, d: EventId) -> bool {
-        e != d && self.events[d.index()].logview.contains(&e)
+        if e == d {
+            false
+        } else if e.index() < self.events.len() {
+            bits::test(self.row(d), e.index())
+        } else {
+            self.forward.contains(&(d, e))
+        }
+    }
+
+    /// The dense form of `d`'s logview: bit `e` is set iff
+    /// `e ∈ logview(d)`, for every event `e` of the graph (`d` itself
+    /// included). All rows have the same length.
+    pub(crate) fn row(&self, d: EventId) -> &[u64] {
+        &self.rows[d.index() * self.stride..][..self.stride]
     }
 
     /// Adds an event; returns its id.
@@ -94,6 +148,27 @@ impl<T> Graph<T> {
         logview: BTreeSet<EventId>,
     ) -> EventId {
         let id = self.next_id();
+        if id.index() == self.stride * 64 {
+            self.widen_rows();
+        }
+        let stride = self.stride;
+        self.rows.resize(self.rows.len() + stride, 0);
+        let row = &mut self.rows[id.index() * stride..];
+        for &e in &logview {
+            if e <= id {
+                bits::set(row, e.index());
+            } else {
+                self.forward.push((id, e));
+            }
+        }
+        // `id` may be the forward reference of an earlier logview.
+        let rows = &mut self.rows;
+        self.forward.retain(|&(d, e)| {
+            if e == id {
+                bits::set(&mut rows[d.index() * stride..], id.index());
+            }
+            e != id
+        });
         self.events.push(Event {
             ty,
             tid,
@@ -101,6 +176,18 @@ impl<T> Graph<T> {
             logview,
         });
         id
+    }
+
+    /// Gives every row one more word. Runs once per 64 events, so the
+    /// copying stays a small fraction of filling the rows.
+    fn widen_rows(&mut self) {
+        let mut rows = Vec::with_capacity(self.rows.len() + self.events.len());
+        for row in self.rows.chunks_exact(self.stride.max(1)) {
+            rows.extend_from_slice(row);
+            rows.push(0);
+        }
+        self.rows = rows;
+        self.stride += 1;
     }
 
     /// Adds an `so` edge.
@@ -127,27 +214,34 @@ impl<T> Graph<T> {
     /// * logviews are closed under `lhb` (if `e ∈ logview(d)` then
     ///   `logview(e) ⊆ logview(d)`) — logical views are *views*, i.e.
     ///   downward-closed sets of the lhb partial order.
+    ///
+    /// Reports the first violation in event order and, per event, in the
+    /// order above. The closure test is one row-subset test per `lhb`
+    /// pair: `|lhb| · ⌈n/64⌉` word operations.
     pub fn check_well_formed(&self) -> SpecResult {
         let n = self.events.len() as u64;
-        for (id, ev) in self.iter() {
-            for &e in &ev.logview {
-                if e.raw() >= n {
-                    return Err(Violation::new(
-                        "WF-LOGVIEW",
-                        format!("logview of {id} contains unknown event {e}"),
-                        vec![id, e],
-                    ));
-                }
+        for (id, _) in self.iter() {
+            // Whatever is still in `forward` never became an event.
+            if let Some(&(_, e)) = self.forward.iter().find(|&&(d, _)| d == id) {
+                return Err(Violation::new(
+                    "WF-LOGVIEW",
+                    format!("logview of {id} contains unknown event {e}"),
+                    vec![id, e],
+                ));
             }
-            if !ev.logview.contains(&id) {
+            let row = self.row(id);
+            if !bits::test(row, id.index()) {
                 return Err(Violation::new(
                     "WF-SELF",
                     format!("event {id} is not in its own logview"),
                     vec![id],
                 ));
             }
-            for &e in &ev.logview {
-                if e != id && !self.events[e.index()].logview.is_subset(&ev.logview) {
+            for e in bits::ones(row).map(|e| EventId::from_raw(e as u64)) {
+                // `id` names no unknown event, so `e` may not either.
+                let closed =
+                    bits::subset(self.row(e), row) && self.forward.iter().all(|&(d, _)| d != e);
+                if !closed {
                     return Err(Violation::new(
                         "WF-CLOSED",
                         format!("logview of {id} contains {e} but not all of {e}'s logview"),
@@ -218,24 +312,18 @@ impl<T> Graph<T> {
         T: Clone,
     {
         let keep = |id: EventId| self.events[id.index()].step < step;
-        let events: Vec<Event<T>> = self
-            .events
-            .iter()
-            .take_while(|e| e.step < step)
-            .map(|e| Event {
-                ty: e.ty.clone(),
-                tid: e.tid,
-                step: e.step,
-                logview: e.logview.iter().copied().filter(|&x| keep(x)).collect(),
-            })
-            .collect();
-        let so = self
+        let mut g = Graph::new();
+        for e in self.events.iter().take_while(|e| e.step < step) {
+            let logview = e.logview.iter().copied().filter(|&x| keep(x)).collect();
+            g.add_event(e.ty.clone(), e.tid, e.step, logview);
+        }
+        g.so = self
             .so
             .iter()
             .copied()
             .filter(|&(a, b)| keep(a) && keep(b))
             .collect();
-        Graph { events, so }
+        g
     }
 }
 

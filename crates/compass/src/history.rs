@@ -3,12 +3,13 @@
 //! and interprets to a sequential abstract state.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 
 use orc11::Val;
 
+use crate::bits;
 use crate::event::EventId;
 use crate::graph::Graph;
 use crate::queue_spec::QueueEvent;
@@ -46,24 +47,23 @@ pub struct QueueInterp;
 
 impl SeqInterp for QueueInterp {
     type Ev = QueueEvent;
-    type State = std::collections::VecDeque<Val>;
+    type State = VecDeque<Val>;
 
     fn apply(&self, st: &Self::State, ev: &Self::Ev) -> Option<Self::State> {
-        let mut st = st.clone();
+        // The search offers every ready event at every node: clone the
+        // state only for an event that is enabled.
         match ev {
             QueueEvent::Enq(v) => {
+                let mut st = st.clone();
                 st.push_back(*v);
                 Some(st)
             }
-            QueueEvent::Deq(v) => {
-                if st.front() == Some(v) {
-                    st.pop_front();
-                    Some(st)
-                } else {
-                    None
-                }
-            }
-            QueueEvent::EmpDeq => st.is_empty().then_some(st),
+            QueueEvent::Deq(v) => (st.front() == Some(v)).then(|| {
+                let mut st = st.clone();
+                st.pop_front();
+                st
+            }),
+            QueueEvent::EmpDeq => st.is_empty().then(VecDeque::new),
         }
     }
 
@@ -81,21 +81,18 @@ impl SeqInterp for StackInterp {
     type State = Vec<Val>;
 
     fn apply(&self, st: &Self::State, ev: &Self::Ev) -> Option<Self::State> {
-        let mut st = st.clone();
         match ev {
             StackEvent::Push(v) => {
+                let mut st = st.clone();
                 st.push(*v);
                 Some(st)
             }
-            StackEvent::Pop(v) => {
-                if st.last() == Some(v) {
-                    st.pop();
-                    Some(st)
-                } else {
-                    None
-                }
-            }
-            StackEvent::EmpPop => st.is_empty().then_some(st),
+            StackEvent::Pop(v) => (st.last() == Some(v)).then(|| {
+                let mut st = st.clone();
+                st.pop();
+                st
+            }),
+            StackEvent::EmpPop => st.is_empty().then(Vec::new),
         }
     }
 
@@ -106,11 +103,12 @@ impl SeqInterp for StackInterp {
 
 /// Counters for the linearization search ([`find_linearization`]).
 ///
-/// The search is the checker's only super-linear component, so these are
-/// the numbers to look at when a spec check is slow: `nodes` is the size
-/// of the explored search tree, `backtracks` how much of it was dead
-/// ends, and `memo_prunes` how much the (done-set, abstract-state)
-/// memoization saved.
+/// The search is the checker's only component that can go exponential
+/// (well-formedness and the search's own per-node work are polynomial:
+/// DESIGN.md §7 has the table), so these are the numbers to look at when
+/// a spec check is slow: `nodes` is the size of the explored search
+/// tree, `backtracks` how much of it was dead ends, and `memo_prunes` how
+/// much the (done-set, abstract-state) memoization saved.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Completed calls to [`find_linearization`].
@@ -166,25 +164,6 @@ pub fn take_search_stats() -> SearchStats {
     SEARCH_STATS.with(|s| std::mem::take(&mut *s.borrow_mut()))
 }
 
-/// A growable bitset over event indices.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
-struct BitSet(Vec<u64>);
-
-impl BitSet {
-    fn new(n: usize) -> Self {
-        BitSet(vec![0; n.div_ceil(64)])
-    }
-    fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
-    }
-    fn clear(&mut self, i: usize) {
-        self.0[i / 64] &= !(1 << (i % 64));
-    }
-    fn get(&self, i: usize) -> bool {
-        self.0[i / 64] & (1 << (i % 64)) != 0
-    }
-}
-
 /// Searches for a linearization: a permutation `to` of the graph's events
 /// such that
 ///
@@ -195,7 +174,12 @@ impl BitSet {
 /// Returns the first such order found, or `None` if none exists. The
 /// search is exponential in the worst case but memoizes on
 /// (done-set, abstract state), which keeps the histories produced by model
-/// executions tractable.
+/// executions tractable. Candidates are offered in ascending id order,
+/// and a candidate is ready when its predecessor row is covered by the
+/// done-set (`⌈n/64⌉` word operations), so a node costs `n · ⌈n/64⌉`
+/// word operations plus one state clone per enabled candidate. An id in
+/// a logview that is no event of `g` constrains nothing here;
+/// [`Graph::check_well_formed`] is what rejects it.
 ///
 /// ```
 /// use compass::history::{find_linearization, QueueInterp};
@@ -224,91 +208,108 @@ pub fn find_linearization<I: SeqInterp>(
         SEARCH_STATS.with(|s| s.borrow_mut().searches += 1);
         return Some(Vec::new());
     }
-    // preds[i] = events that must precede i.
-    let mut preds: Vec<Vec<usize>> = g
-        .iter()
-        .map(|(id, ev)| {
-            ev.logview
-                .iter()
-                .copied()
-                .filter(|&e| e != id)
-                .map(|e| e.index())
-                .collect::<Vec<usize>>()
-        })
-        .collect();
+    // Row `i` of `preds`: the events that must precede `i`, as bits —
+    // `i`'s logview row without `i` itself, plus the `extra` edges.
+    let words = n.div_ceil(64);
+    let mut preds: Vec<u64> = Vec::with_capacity(n * words);
+    for (id, _) in g.iter() {
+        preds.extend_from_slice(g.row(id));
+        bits::clear(&mut preds[id.index() * words..], id.index());
+    }
     for &(a, b) in extra {
-        preds[b.index()].push(a.index());
+        bits::set(&mut preds[b.index() * words..][..words], a.index());
     }
     // Mutual lhb (helping pairs have each other in their logviews) would
     // make the constraints unsatisfiable; keep only the id-ordered half
     // (helpee before helper).
-    for (i, pred) in preds.iter_mut().enumerate() {
-        let me = EventId::from_raw(i as u64);
-        pred.retain(|&p| {
-            let mutual = g.event(EventId::from_raw(p as u64)).logview.contains(&me);
-            !(mutual && p > i)
-        });
-        pred.sort_unstable();
-        pred.dedup();
+    for i in 0..n {
+        let row = &mut preds[i * words..][..words];
+        let later: Vec<usize> = bits::ones(row).filter(|&p| p > i).collect();
+        for p in later {
+            if g.lhb(EventId::from_raw(i as u64), EventId::from_raw(p as u64)) {
+                bits::clear(row, p);
+            }
+        }
     }
 
-    let mut done = BitSet::new(n);
+    /// What stays fixed during one search.
+    struct Search<'a, I: SeqInterp> {
+        g: &'a Graph<I::Ev>,
+        interp: &'a I,
+        preds: &'a [u64],
+        words: usize,
+    }
+
+    /// `node` is the (done-set, abstract state) pair reached by `order`.
+    /// It is recorded in `memo` once its subtree has failed: a pair cannot
+    /// recur below itself (the done-set only grows), so looking it up on
+    /// entry prunes exactly what recording it on entry would, and the
+    /// path to a linearization records nothing.
+    fn dfs<I: SeqInterp>(
+        s: &Search<'_, I>,
+        node: &mut (Vec<u64>, I::State),
+        order: &mut Vec<EventId>,
+        memo: &mut HashSet<(Vec<u64>, I::State)>,
+        stats: &mut SearchStats,
+    ) -> bool {
+        let n = s.g.len();
+        if order.len() == n {
+            return true;
+        }
+        if memo.contains(node) {
+            stats.memo_prunes += 1;
+            return false;
+        }
+        // Candidates in ascending id order: the search tree (and with it
+        // the returned order and the counters) depends on it.
+        for i in 0..n {
+            let ready = || {
+                let row = &s.preds[i * s.words..][..s.words];
+                row.iter().zip(&node.0).all(|(&p, &done)| p & !done == 0)
+            };
+            if bits::test(&node.0, i) || !ready() {
+                continue;
+            }
+            let id = EventId::from_raw(i as u64);
+            if let Some(next) = s.interp.apply(&node.1, &s.g.event(id).ty) {
+                bits::set(&mut node.0, i);
+                let state = std::mem::replace(&mut node.1, next);
+                order.push(id);
+                stats.nodes += 1;
+                if dfs(s, node, order, memo, stats) {
+                    return true;
+                }
+                order.pop();
+                node.1 = state;
+                bits::clear(&mut node.0, i);
+                stats.backtracks += 1;
+            }
+        }
+        memo.insert(node.clone());
+        false
+    }
+
+    let search = Search {
+        g,
+        interp,
+        preds: &preds,
+        words,
+    };
+    let mut node = (vec![0u64; words], I::State::default());
     let mut order: Vec<EventId> = Vec::with_capacity(n);
-    let mut memo: HashSet<(BitSet, I::State)> = HashSet::new();
-    let state = I::State::default();
     let mut stats = SearchStats {
         searches: 1,
         ..SearchStats::default()
     };
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs<I: SeqInterp>(
-        g: &Graph<I::Ev>,
-        interp: &I,
-        preds: &[Vec<usize>],
-        done: &mut BitSet,
-        order: &mut Vec<EventId>,
-        state: &I::State,
-        memo: &mut HashSet<(BitSet, I::State)>,
-        stats: &mut SearchStats,
-        n: usize,
-    ) -> bool {
-        if order.len() == n {
-            return true;
-        }
-        if !memo.insert((done.clone(), state.clone())) {
-            stats.memo_prunes += 1;
-            return false;
-        }
-        for i in 0..n {
-            if done.get(i) || !preds[i].iter().all(|&p| done.get(p)) {
-                continue;
-            }
-            let id = EventId::from_raw(i as u64);
-            if let Some(next) = interp.apply(state, &g.event(id).ty) {
-                done.set(i);
-                order.push(id);
-                stats.nodes += 1;
-                if dfs(g, interp, preds, done, order, &next, memo, stats, n) {
-                    return true;
-                }
-                order.pop();
-                done.clear(i);
-                stats.backtracks += 1;
-            }
-        }
-        false
-    }
-
     let found = dfs(
-        g, interp, &preds, &mut done, &mut order, &state, &mut memo, &mut stats, n,
+        &search,
+        &mut node,
+        &mut order,
+        &mut HashSet::new(),
+        &mut stats,
     );
     SEARCH_STATS.with(|s| s.borrow_mut().merge(&stats));
-    if found {
-        Some(order)
-    } else {
-        None
-    }
+    found.then_some(order)
 }
 
 /// Validates that `order` is a linearization of `g`: a permutation
@@ -343,7 +344,7 @@ pub fn validate_linearization<I: SeqInterp>(
             }
             // Helping pairs are mutually lhb-related; only the id order is
             // required of `to` for them.
-            if g.event(e).logview.contains(&d) {
+            if g.lhb(d, e) {
                 continue;
             }
             if pos[e.index()] > pos[d.index()] {

@@ -75,6 +75,7 @@
 
 pub mod abs;
 pub mod arc_spec;
+mod bits;
 pub mod bundle;
 pub mod checker;
 pub mod conform;

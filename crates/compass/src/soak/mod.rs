@@ -111,11 +111,14 @@ pub struct SoakOptions {
     pub check_delay_ns: u64,
     /// Hard bound on assembled slice size: a sealed epoch whose slice
     /// exceeds this many events is shed (and the governor degrades
-    /// sampling) instead of checked. The staged checks are
-    /// super-quadratic in slice size, so one oversized epoch could
-    /// otherwise stall the worker pool for seconds; this bound keeps
-    /// per-epoch check cost predictable no matter how the adaptive
-    /// sampling was sized.
+    /// sampling) instead of checked. The polynomial part of the staged
+    /// checks is `|lhb| · ⌈n/64⌉` word operations (DESIGN.md §7: about
+    /// a millisecond at 512 near-sequential events, under half a second
+    /// at 4096); what the bound guards against is the linearization
+    /// search, whose node count grows exponentially with the number of
+    /// *overlapping* operations, and more events per epoch means more
+    /// of them. This bound keeps per-epoch check cost predictable no
+    /// matter how the adaptive sampling was sized.
     pub max_epoch_events: usize,
     /// Checker CPU duty budget in per-mille (1000 = unthrottled). Below
     /// 1000, each worker sleeps after a check so its busy fraction stays
@@ -450,9 +453,9 @@ impl<E: SoakEvent> SoakEngine<E> {
             return;
         }
         if slice.len() > self.shared.max_epoch_events {
-            // The staged checks are super-quadratic in slice size; an
-            // oversized epoch would stall a worker for seconds. Shed it
-            // and degrade sampling so the next epoch fits the budget.
+            // The search's tail grows with the overlap an epoch holds
+            // (see `max_epoch_events`). Shed the oversized epoch and
+            // degrade sampling so the next one fits the budget.
             let _shed = trace::span(Phase::Soak, "epoch-shed");
             control.governor.shed();
             self.shed += 1;
