@@ -1,13 +1,14 @@
-//! The execution harness: gated OS threads driven by a strategy.
+//! The execution harness: model threads as coroutines driven by a strategy.
 //!
 //! A model program has three phases:
 //!
 //! 1. **setup** — runs solo on the main context (thread id 0), typically
 //!    allocating locations and building library objects;
-//! 2. **parallel bodies** — each runs on its own OS thread (ids `1..=n`),
-//!    but every model instruction passes through a turnstile so that
-//!    exactly one instruction executes at a time and every interleaving
-//!    decision is delegated to the [`Strategy`];
+//! 2. **parallel bodies** — each runs as a stackful coroutine (ids
+//!    `1..=n`, see [`crate::coro`]) on the OS thread that called
+//!    [`run_model`]; every model instruction passes through a turnstile
+//!    so that exactly one instruction executes at a time and every
+//!    interleaving decision is delegated to the [`Strategy`];
 //! 3. **finish** — runs solo again with the join of all final thread views
 //!    (like joining the threads), typically asserting postconditions and
 //!    extracting results.
@@ -17,18 +18,30 @@
 //! deterministic function of the strategy's choices — the basis for replay
 //! and exhaustive exploration.
 //!
+//! # The turnstile
+//!
+//! A body that arrives at an instruction marks itself arrived and calls
+//! `maybe_decide`; unless the decision scheduled that very body it
+//! switches back to the driver (phase 2 of `run_in_arena`) and re-checks
+//! `aborted`/`current` when resumed. The driver resumes bodies `1..=n`
+//! once each in tid order — each runs to its first arrival or its end, so
+//! the host code a body executes before its first instruction runs in tid
+//! order too, where it used to race — then keeps resuming
+//! `ExecState::current` until nothing is scheduled or the execution
+//! aborted, and finally resumes every body still suspended once more: it
+//! observes `aborted`, unwinds through its own `catch_unwind` and drops
+//! its locals before `run_model` returns. No OS thread is created, parked
+//! or woken anywhere on this path.
+//!
 //! # Execution arenas
 //!
 //! Executions are cheap to *reset* but expensive to *rebuild*, so the
 //! harness keeps a thread-local [`ExecArena`] alive between [`run_model`]
-//! calls: long-lived worker OS threads (parked on per-worker condvars
-//! between executions, instead of a `thread::scope` spawn/join per
-//! execution), the shared execution state (memory location histories,
-//! thread views, trace and access buffers — cleared with capacity
-//! retained), and the setup-prefix checkpoint (see [`crate::checkpoint`]).
-//! The turnstile itself uses one condvar *per simulated thread*, so waking
-//! the next scheduled thread is a single targeted `notify_one` rather than
-//! a thundering-herd `notify_all`.
+//! calls: one pooled coroutine stack per body slot (allocated once,
+//! reused by every later execution), the shared execution state (memory
+//! location histories, thread views, trace and access buffers — cleared
+//! with capacity retained), and the setup-prefix checkpoint (see
+//! [`crate::checkpoint`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
@@ -39,6 +52,7 @@ use std::sync::Arc;
 use crate::sync::Mutex;
 
 use crate::checkpoint::{self, CachedResult, Checkpoint, CkptCtl, CkptMode, CkptStatus};
+use crate::coro::{self, Coro};
 use crate::dpor::{Access, AccessKind, StepAccess, CANDIDATES_UNKNOWN};
 use crate::error::ModelError;
 use crate::frontier::Frontier;
@@ -118,12 +132,8 @@ struct ExecState {
     accesses: Vec<StepAccess>,
     /// Prefix-checkpoint control block (see [`crate::checkpoint`]).
     ckpt: CkptCtl,
-    /// OS-thread handle per simulated thread (index = thread id), set by
-    /// each body task when it starts. Handing the turnstile to the
-    /// scheduled thread is a targeted [`std::thread::Thread::unpark`] —
-    /// measurably cheaper than a condvar `notify_one` on glibc. All wake
-    /// sites hold the state lock, so registration never races a wake.
-    parkers: Vec<Option<std::thread::Thread>>,
+    /// Scratch for `maybe_decide` (cleared per decision, capacity kept).
+    selectable: Vec<ThreadId>,
 }
 
 impl ExecState {
@@ -149,22 +159,10 @@ impl ExecState {
             pending_decision: None,
             accesses: Vec::new(),
             ckpt: CkptCtl::new(),
-            parkers: Vec::new(),
+            selectable: Vec::new(),
         }
     }
 
-    /// Wakes every registered thread (abort paths). Handoff wakeups on
-    /// the hot path instead clone the target's handle and unpark after
-    /// unlocking (see `with_step`); stale park tokens are harmless since
-    /// every park site re-checks its condition under the lock.
-    fn wake_all(&self) {
-        for h in self.parkers.iter().flatten() {
-            h.unpark();
-        }
-    }
-}
-
-impl ExecState {
     fn record(&mut self, tid: ThreadId, loc: Option<Loc>, kind: OpKindRecord) {
         if let Some(ops) = &mut self.ops {
             let loc_name = loc
@@ -191,10 +189,10 @@ impl fmt::Debug for ExecState {
     }
 }
 
-/// The lock around the pooled [`ExecState`]. Turnstile wakeups go through
-/// [`ExecState::wake`] (park/unpark on handles stored *inside* the state),
-/// so no condvar table lives here and the block never needs rebuilding
-/// when an execution brings more simulated threads.
+/// The lock around the pooled [`ExecState`], shared by the driver and every
+/// [`ThreadCtx`]. All of them run on one OS thread, so it is never
+/// contended; it must never be held across a [`coro::suspend`], or the next
+/// coroutine to take it would deadlock that thread against itself.
 struct ExecShared {
     state: Mutex<ExecState>,
 }
@@ -361,34 +359,35 @@ fn maybe_decide(st: &mut ExecState) {
     if st.solo || st.current.is_some() || st.aborted.is_some() {
         return;
     }
-    let n = st.n_bodies;
-    let mut arrived = Vec::new();
-    let mut finished = 0usize;
-    for t in 1..=n {
-        if st.threads[t].finished {
-            finished += 1;
-        } else if st.threads[t].arrived {
-            arrived.push(t);
-        }
-    }
-    if arrived.is_empty() || arrived.len() + finished != n {
+    let ExecState {
+        threads,
+        memory,
+        selectable,
+        ..
+    } = st;
+    let bodies = &threads[1..=st.n_bodies];
+    let arrived = |t: &ThreadSlot| !t.finished && t.arrived;
+    let n_finished = bodies.iter().filter(|t| t.finished).count();
+    let n_arrived = bodies.iter().filter(|t| arrived(t)).count();
+    if n_arrived == 0 || n_arrived + n_finished != bodies.len() {
         return;
     }
     // A thread blocked in read_await is only selectable if a satisfying
     // message is now readable.
-    let selectable: Vec<ThreadId> = arrived
-        .iter()
-        .copied()
-        .filter(|&t| match &st.threads[t].waiting {
-            None => true,
-            Some((loc, _, pred)) => {
-                let p: &dyn Fn(Val) -> bool = &**pred;
-                !st.memory
-                    .candidates(&st.threads[t].tv, *loc, Some(p))
-                    .is_empty()
-            }
-        })
-        .collect();
+    let ready = |t: &ThreadSlot| match &t.waiting {
+        None => true,
+        Some((loc, _, pred)) => {
+            let p: &dyn Fn(Val) -> bool = &**pred;
+            !memory.candidates(&t.tv, *loc, Some(p)).is_empty()
+        }
+    };
+    selectable.clear();
+    selectable.extend(
+        (1..)
+            .zip(bodies)
+            .filter(|(_, t)| arrived(t) && ready(t))
+            .map(|(tid, _)| tid),
+    );
     if selectable.is_empty() {
         st.aborted = Some(ModelError::Deadlock);
         return;
@@ -396,13 +395,13 @@ fn maybe_decide(st: &mut ExecState) {
     let idx = if selectable.len() == 1 {
         0
     } else {
-        let i = st.strategy.choose_thread(&selectable);
+        let i = st.strategy.choose_thread(selectable);
         assert!(i < selectable.len(), "strategy returned out-of-range index");
         // Remember which trace entry scheduled the next instruction and
         // which threads were selectable, for the DPOR access summary.
         let mut mask: u64 = 0;
         let mut overflow = false;
-        for &t in &selectable {
+        for &t in selectable.iter() {
             if t < 64 {
                 mask |= 1 << t;
             } else {
@@ -445,33 +444,20 @@ impl ThreadCtx {
             st.threads[tid].waiting = waiting;
             st.threads[tid].arrived = true;
             maybe_decide(&mut st);
-            if st.aborted.is_some() {
-                st.wake_all();
-                drop(st);
-                std::panic::panic_any(ModelAbort);
-            }
-            // If the decision scheduled another thread, hand it the
-            // turnstile with a targeted wakeup. (Decisions only ever happen
-            // on arrivals and finishes, so nobody else needs waking.) The
-            // unpark is issued *after* the lock is dropped so the woken
-            // thread does not immediately block on the state mutex —
-            // on a single-core host that second futex round-trip doubles
-            // the handoff cost. Spurious park returns need no re-wake:
-            // whoever scheduled the then-current thread unparked it.
-            let mut target = match st.current {
-                Some(c) if c != tid => st.parkers[c].clone(),
-                _ => None,
-            };
-            while st.current != Some(tid) {
+            // Unless the decision scheduled this very thread, hand the
+            // OS thread back to the driver, which resumes whoever is
+            // `current`; it resumes this one either when its turn comes
+            // or, after an abort, so that it unwinds.
+            loop {
                 if st.aborted.is_some() {
                     drop(st);
                     std::panic::panic_any(ModelAbort);
                 }
-                drop(st);
-                if let Some(h) = target.take() {
-                    h.unpark();
+                if st.current == Some(tid) {
+                    break;
                 }
-                std::thread::park();
+                drop(st);
+                coro::suspend();
                 st = self.shared.state.lock();
             }
         }
@@ -479,7 +465,6 @@ impl ThreadCtx {
         if st.steps > st.max_steps {
             st.aborted = Some(ModelError::StepLimit(st.max_steps));
             st.current = None;
-            st.wake_all();
             drop(st);
             std::panic::panic_any(ModelAbort);
         }
@@ -512,13 +497,12 @@ impl ThreadCtx {
             st.threads[tid].arrived = false;
         }
         match res {
-            // No wakeup needed on success: the next decision can only
-            // happen at this thread's next arrival (or finish), both of
-            // which call `maybe_decide` themselves.
+            // The thread keeps running: the next decision can only happen
+            // at its next arrival (or finish), both of which call
+            // `maybe_decide` themselves.
             Ok(r) => r,
             Err(e) => {
                 st.aborted = Some(e);
-                st.wake_all();
                 drop(st);
                 std::panic::panic_any(ModelAbort);
             }
@@ -1199,96 +1183,15 @@ impl ThreadCtx {
 /// A parallel body of a model program.
 pub type BodyFn<'a, S, O> = Box<dyn FnOnce(&mut ThreadCtx, &S) -> O + Send + 'a>;
 
-// ---------------------------------------------------------------------------
-// The worker pool: long-lived OS threads parked between executions.
-
-/// A task dispatched to a pooled worker. The `'static` bound is produced by
-/// an erasure in `run_in_arena`, which guarantees the closure's borrows
-/// outlive its execution by blocking on the done gate.
-enum WorkerTask {
-    Run(Box<dyn FnOnce() + Send + 'static>),
-    Stop,
-}
-
-/// One pooled worker's mailbox. The worker parks between tasks; the
-/// dispatcher stores a task and unparks it.
-struct WorkerSlot {
-    task: Mutex<Option<WorkerTask>>,
-}
-
-/// Completion gate: workers bump `done` after their task closure has
-/// returned (and dropped all its borrows), then unpark the dispatcher;
-/// the dispatcher waits for `done == n - 1` before touching anything the
-/// tasks borrowed.
-struct DoneGate {
-    state: Mutex<DoneState>,
-    /// The arena-owning thread — the only thread that ever waits on the
-    /// gate (arenas are thread-local and never migrate).
-    dispatcher: std::thread::Thread,
-}
-
-struct DoneState {
-    done: usize,
-    /// First harness-level panic raised by a task, re-raised by the
-    /// dispatcher (simulated-thread panics are already caught *inside* the
-    /// task and never reach here).
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-struct WorkerHandle {
-    slot: Arc<WorkerSlot>,
-    /// The pooled worker's OS thread, unparked on dispatch.
-    thread: std::thread::Thread,
-}
-
-impl WorkerHandle {
-    fn dispatch(&self, task: Box<dyn FnOnce() + Send + 'static>) {
-        let mut g = self.slot.task.lock();
-        debug_assert!(g.is_none(), "arena worker already has a task");
-        *g = Some(WorkerTask::Run(task));
-        drop(g);
-        self.thread.unpark();
-    }
-}
-
-fn worker_main(slot: Arc<WorkerSlot>, done: Arc<DoneGate>) {
-    loop {
-        // Park between tasks; a leftover token (e.g. from a turnstile
-        // `wake_all` that raced this worker finishing its task) only costs
-        // one spurious re-check of the mailbox. The guard must be dropped
-        // before parking (a `match` on `lock().take()` would hold it).
-        let task = loop {
-            let taken = { slot.task.lock().take() };
-            match taken {
-                Some(t) => break t,
-                None => std::thread::park(),
-            }
-        };
-        match task {
-            WorkerTask::Run(f) => {
-                // Catch *everything*: the done gate must be bumped even if
-                // the task's own bookkeeping panics, or the dispatcher
-                // would wait forever.
-                let r = catch_unwind(AssertUnwindSafe(f));
-                let mut d = done.state.lock();
-                d.done += 1;
-                if let Err(p) = r {
-                    d.panic.get_or_insert(p);
-                }
-                drop(d);
-                done.dispatcher.unpark();
-            }
-            WorkerTask::Stop => return,
-        }
-    }
-}
-
-/// The reusable per-OS-thread execution arena: pooled workers, pooled
-/// simulator state, and the prefix-checkpoint slot. See the module docs.
+/// The reusable per-OS-thread execution arena: pooled coroutine stacks,
+/// pooled simulator state, and the prefix-checkpoint slot. See the module
+/// docs.
 struct ExecArena {
     shared: Arc<ExecShared>,
-    workers: Vec<WorkerHandle>,
-    done: Arc<DoneGate>,
+    /// The coroutine hosting body `i` (tid `i + 1`); grown on demand, so
+    /// an execution allocates a stack only the first time the arena sees
+    /// that many bodies.
+    coros: Vec<Coro>,
     ckpt: Checkpoint,
     /// False until the arena has hosted one execution.
     warm: bool,
@@ -1298,48 +1201,9 @@ impl ExecArena {
     fn new() -> Self {
         ExecArena {
             shared: Arc::new(ExecShared::new()),
-            workers: Vec::new(),
-            done: Arc::new(DoneGate {
-                state: Mutex::new(DoneState {
-                    done: 0,
-                    panic: None,
-                }),
-                dispatcher: std::thread::current(),
-            }),
+            coros: Vec::new(),
             ckpt: Checkpoint::new(),
             warm: false,
-        }
-    }
-
-    /// Grows the worker pool to host `n` body threads. Only `n - 1`
-    /// pooled workers are needed: body 0 runs inline on the dispatching
-    /// thread, which would otherwise just park on the done gate. The
-    /// shared block itself never needs rebuilding — the parker table
-    /// lives in the pooled `ExecState` and is grown by `reset_state`.
-    fn ensure(&mut self, n: usize) {
-        while self.workers.len() < n.saturating_sub(1) {
-            let slot = Arc::new(WorkerSlot {
-                task: Mutex::new(None),
-            });
-            let worker_slot = slot.clone();
-            let done = self.done.clone();
-            let handle = std::thread::Builder::new()
-                .name("orc11-arena".into())
-                .spawn(move || worker_main(worker_slot, done))
-                .expect("failed to spawn arena worker");
-            self.workers.push(WorkerHandle {
-                slot,
-                thread: handle.thread().clone(),
-            });
-        }
-    }
-}
-
-impl Drop for ExecArena {
-    fn drop(&mut self) {
-        for w in &self.workers {
-            *w.slot.task.lock() = Some(WorkerTask::Stop);
-            w.thread.unpark();
         }
     }
 }
@@ -1392,15 +1256,6 @@ fn reset_state(st: &mut ExecState, cfg: &Config, n: usize, init: StrategyInit<'_
         t.arrived = false;
         t.finished = false;
         t.waiting = None;
-    }
-    // Clear parker handles: body tasks re-register each execution, and a
-    // stale handle must never redirect a wake to a thread now simulating
-    // a different tid.
-    if st.parkers.len() < n + 1 {
-        st.parkers.resize(n + 1, None);
-    }
-    for p in st.parkers.iter_mut() {
-        *p = None;
     }
     match init {
         StrategyInit::Boxed(b) => st.strategy = b,
@@ -1520,7 +1375,6 @@ where
     O: Send,
 {
     let n = bodies.len();
-    arena.ensure(n);
     let shared = arena.shared.clone();
 
     // Decide what to do with the checkpoint slot: replay recording is
@@ -1646,7 +1500,7 @@ where
         st.ckpt.mode = CkptMode::Off;
     }
 
-    // Phase 2: parallel bodies on pooled workers.
+    // Phase 2: parallel bodies, one pooled coroutine each, driven here.
     {
         let mut st = shared.state.lock();
         st.solo = n == 0;
@@ -1655,96 +1509,96 @@ where
             t.tv.inherit_from(&main[0].tv.cur);
         }
     }
-    let outs: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let outs: Vec<Cell<Option<O>>> = (0..n).map(|_| Cell::new(None)).collect();
     if n > 0 {
-        {
-            let mut d = arena.done.state.lock();
-            d.done = 0;
-            d.panic = None;
+        if arena.coros.len() < n {
+            arena.coros.resize_with(n, Coro::new);
         }
-        // Body 0 runs inline on this thread — the dispatcher would only
-        // park on the done gate while a pooled worker ran it, so hosting
-        // it here saves two park/unpark hops per execution.
-        let mut inline_task: Option<Box<dyn FnOnce() + Send + '_>> = None;
-        for (i, body) in bodies.into_iter().enumerate() {
-            let task_shared = shared.clone();
+        let coros = &mut arena.coros[..n];
+        for ((i, body), co) in bodies.into_iter().enumerate().zip(coros.iter_mut()) {
+            let tid = i + 1;
+            let task_shared = &shared;
             let s_ref: &S = &s;
             let out_slot = &outs[i];
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                // Register this OS thread as tid `i + 1`'s park target
-                // before the first arrival. Until registration the tid
-                // cannot be scheduled (decisions require all live threads
-                // to have arrived), so no wake can be lost.
-                task_shared.state.lock().parkers[i + 1] = Some(std::thread::current());
+            let task: Box<dyn FnOnce() + '_> = Box::new(move || {
                 let mut ctx = ThreadCtx {
                     shared: task_shared.clone(),
-                    tid: i + 1,
+                    tid,
                     replay: false,
                     record: false,
                 };
                 let r = catch_unwind(AssertUnwindSafe(|| body(&mut ctx, s_ref)));
                 let mut st = task_shared.state.lock();
-                st.threads[i + 1].finished = true;
-                st.threads[i + 1].arrived = false;
-                if st.current == Some(i + 1) {
+                st.threads[tid].finished = true;
+                st.threads[tid].arrived = false;
+                if st.current == Some(tid) {
                     st.current = None;
                 }
                 match r {
-                    Ok(o) => *out_slot.lock() = Some(o),
+                    Ok(o) => out_slot.set(Some(o)),
                     Err(p) => {
                         if p.downcast_ref::<ModelAbort>().is_none() && st.aborted.is_none() {
                             st.aborted = Some(ModelError::ThreadPanic(panic_msg(p)));
                         }
                     }
                 }
+                // The driver loop below picks up whatever this schedules.
                 maybe_decide(&mut st);
-                // As in `with_step`, unpark the scheduled thread after
-                // unlocking; the abort broadcast is cold and stays inside.
-                let target = match (st.aborted.is_some(), st.current) {
-                    (true, _) => {
-                        st.wake_all();
-                        None
-                    }
-                    (false, Some(c)) => st.parkers[c].clone(),
-                    (false, None) => None,
-                };
-                drop(st);
-                if let Some(h) = target {
-                    h.unpark();
-                }
             });
-            if i == 0 {
-                inline_task = Some(task);
-                continue;
-            }
-            // SAFETY: the task borrows `s`, `outs` and the moved `body`,
-            // none of which are `'static`. Erasing the lifetime is sound
-            // because this function cannot return, unwind, or otherwise
-            // touch/drop those borrows before the done-gate wait below
-            // observes `done == n - 1`, and the gate is only bumped
-            // *after* a task closure has returned (dropping its borrows).
-            // Between dispatch and that wait the only code that runs here
-            // is the inline body-0 task — inside `catch_unwind`, its
-            // panic re-raised only after the wait — and the wait itself;
-            // neither can unwind past the wait.
-            let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
-            arena.workers[i - 1].dispatch(task);
+            // SAFETY: the task borrows `shared`, `s`, `outs` and the moved
+            // `body`, none of which are `'static`. Erasing the lifetime is
+            // sound because a task only ever runs inside a `Coro::resume`
+            // call made by this block, and the block does not end before
+            // every task closure has returned (dropping its borrows): the
+            // last loop resumes each unfinished coroutine and asserts it
+            // finished. If a `resume` here unwinds instead (a harness bug:
+            // its own assertions), the caller drops the arena rather than
+            // pooling it, so the suspended frames are leaked, never run
+            // again. What would break this: resuming one of these
+            // coroutines after this function has returned.
+            let task: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(task) };
+            co.start(task);
         }
-        let inline_panic = inline_task.and_then(|task| catch_unwind(AssertUnwindSafe(task)).err());
-        let harness_panic = {
-            // Park-based gate wait: `done` is bumped under the lock before
-            // the unpark, and any token consumed earlier (by the inline
-            // body's turnstile waits) was delivered before this re-check,
-            // so the bump it signalled is already visible here.
-            let mut d = arena.done.state.lock();
-            while d.done < n - 1 {
-                drop(d);
-                std::thread::park();
-                d = arena.done.state.lock();
+        // Every body up to its first arrival (or its end), in tid order;
+        // the last arrival makes the first decision.
+        for co in coros.iter_mut() {
+            co.resume();
+        }
+        loop {
+            let next = {
+                let st = shared.state.lock();
+                if st.aborted.is_some() {
+                    None
+                } else {
+                    st.current
+                }
+            };
+            match next {
+                Some(tid) => coros[tid - 1].resume(),
+                None => break,
             }
-            d.panic.take()
-        };
-        if let Some(p) = inline_panic.or(harness_panic) {
+        }
+        // A panic in a task's own bookkeeping (body panics are caught
+        // inside the task; this is e.g. a `Strategy` panicking in the
+        // decision a finish triggers) scheduled nobody. It is a harness
+        // failure, re-raised below; abort so that the other bodies unwind.
+        let harness_panic = coros.iter_mut().find_map(Coro::take_panic);
+        if harness_panic.is_some() {
+            let mut st = shared.state.lock();
+            st.aborted
+                .get_or_insert(ModelError::ThreadPanic("harness panic".into()));
+        }
+        // Nothing is scheduled: either every body finished, or the
+        // execution aborted and the bodies still suspended in `with_step`
+        // must unwind (`ModelAbort`) before anything they borrow goes.
+        for co in coros.iter_mut() {
+            if !co.is_done() {
+                co.resume();
+            }
+            assert!(co.is_done(), "a model thread outlived its execution");
+            co.check_canary();
+        }
+        if let Some(p) = harness_panic {
             std::panic::resume_unwind(p);
         }
     }
@@ -1765,7 +1619,7 @@ where
     }
     let collected: Vec<O> = outs
         .into_iter()
-        .map(|m| m.into_inner().expect("unaborted body produced output"))
+        .map(|c| c.into_inner().expect("unaborted body produced output"))
         .collect();
     match catch_unwind(AssertUnwindSafe(|| finish(&mut main_ctx, &s, collected))) {
         Ok(r) => outcome(&shared, Ok(r)),
@@ -1788,6 +1642,7 @@ where
 mod tests {
     use super::*;
     use crate::sched::random_strategy;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn solo_program_runs() {
@@ -2009,6 +1864,335 @@ mod tests {
                 dt.as_secs_f64() * 1e6 / iters as f64
             );
         }
+    }
+
+    /// Bumps a counter when dropped: a body local that must be dropped
+    /// exactly once however its execution ends.
+    struct Bump<'a>(&'a AtomicUsize);
+
+    impl Drop for Bump<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Three bodies, each holding a [`Bump`] across its first instruction
+    /// (so across at least one suspension) and then running `rest`.
+    /// Returns the result and how many locals were dropped.
+    fn run_holding_locals(
+        max_steps: u64,
+        rest: impl Fn(&mut ThreadCtx, Loc, usize) + Sync,
+    ) -> (Result<(), ModelError>, usize) {
+        let drops = AtomicUsize::new(0);
+        let out = run_model(
+            &Config {
+                max_steps,
+                ..Config::default()
+            },
+            random_strategy(7),
+            |ctx| ctx.alloc("x", Val::Int(0)),
+            (0..3)
+                .map(|i| {
+                    let (drops, rest) = (&drops, &rest);
+                    Box::new(move |ctx: &mut ThreadCtx, &l: &Loc| {
+                        let _local = Bump(drops);
+                        ctx.read(l, Mode::Relaxed);
+                        rest(ctx, l, i);
+                    }) as BodyFn<'_, _, ()>
+                })
+                .collect(),
+            |_, _, _| (),
+        );
+        (out.result, drops.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn every_abort_drops_suspended_locals_once_and_leaves_the_arena_clean() {
+        std::thread::spawn(|| {
+            type Rest = fn(&mut ThreadCtx, Loc, usize);
+            type Expected = fn(&ModelError) -> bool;
+            fn spin(ctx: &mut ThreadCtx, l: Loc, _: usize) {
+                loop {
+                    ctx.read(l, Mode::Relaxed);
+                }
+            }
+            fn block(ctx: &mut ThreadCtx, l: Loc, _: usize) {
+                ctx.read_await(l, Mode::Acquire, |v| v == Val::Int(99));
+            }
+            let cases: [(&str, Rest, Expected); 4] = [
+                ("step limit", spin, |e| {
+                    matches!(e, ModelError::StepLimit(40))
+                }),
+                (
+                    "race",
+                    |ctx, l, i| ctx.write(l, Val::Int(i as i64), Mode::NonAtomic),
+                    |e| matches!(e, ModelError::Race(_)),
+                ),
+                ("deadlock", block, |e| matches!(e, ModelError::Deadlock)),
+                (
+                    // Body 1 panics in host code while the other two are
+                    // suspended in `read_await`.
+                    "panic",
+                    |ctx, l, i| {
+                        if i == 1 {
+                            panic!("boom 7")
+                        } else {
+                            block(ctx, l, i)
+                        }
+                    },
+                    |e| matches!(e, ModelError::ThreadPanic(m) if m.contains("boom 7")),
+                ),
+            ];
+            let mark = checkpoint::local();
+            for (name, rest, expected) in cases {
+                let (result, drops) = run_holding_locals(40, rest);
+                let err = result.expect_err(name);
+                assert!(expected(&err), "{name}: got {err:?}");
+                assert_eq!(drops, 3, "{name}: every local dropped exactly once");
+                // The same arena (and the stacks just unwound) hosts a
+                // clean execution next.
+                let (result, drops) = run_holding_locals(1_000, |ctx, l, _| {
+                    ctx.fetch_add(l, 1, Mode::Relaxed);
+                });
+                assert_eq!((result, drops), (Ok(()), 3), "clean run after {name}");
+            }
+            let delta = checkpoint::local().delta_since(&mark);
+            assert_eq!(delta.arena_execs, 7, "one arena throughout: {delta:?}");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn strategy_panic_at_a_finish_unwinds_every_body_then_propagates() {
+        // Decision 1 (three arrived bodies) picks tid 1, which runs its one
+        // instruction and finishes; decision 2 is made by that finish, in
+        // the task's bookkeeping rather than under the body's
+        // `catch_unwind`, and panics.
+        struct PanicsOnSecondDecision(u32);
+        impl Strategy for PanicsOnSecondDecision {
+            fn choose(&mut self, _: ChoiceKind, _: usize) -> usize {
+                self.0 += 1;
+                assert!(self.0 < 2, "strategy gave up");
+                0
+            }
+        }
+        std::thread::spawn(|| {
+            let drops = AtomicUsize::new(0);
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                run_model(
+                    &Config::default(),
+                    Box::new(PanicsOnSecondDecision(0)),
+                    |ctx| ctx.alloc("x", Val::Int(0)),
+                    (0..3)
+                        .map(|i| {
+                            let drops = &drops;
+                            Box::new(move |ctx: &mut ThreadCtx, &l: &Loc| {
+                                let _local = Bump(drops);
+                                for _ in 0..=i {
+                                    ctx.fetch_add(l, 1, Mode::Relaxed);
+                                }
+                            }) as BodyFn<'_, _, ()>
+                        })
+                        .collect(),
+                    |_, _, _| (),
+                )
+            }));
+            let msg = panic_msg(run.expect_err("the strategy's panic propagates"));
+            assert!(msg.contains("strategy gave up"), "{msg}");
+            assert_eq!(drops.load(Ordering::Relaxed), 3);
+            let (result, drops) = run_holding_locals(1_000, |_, _, _| {});
+            assert_eq!((result, drops), (Ok(()), 3), "next run builds a new arena");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn nested_run_model_in_a_body_and_in_finish() {
+        // Two bodies bump a counter; the sum comes back through `finish`.
+        fn inner(seed: u64) -> i64 {
+            run_model(
+                &Config::default(),
+                random_strategy(seed),
+                |ctx| ctx.alloc("ctr", Val::Int(0)),
+                (0..2)
+                    .map(|_| {
+                        Box::new(|ctx: &mut ThreadCtx, &l: &Loc| {
+                            ctx.fetch_add(l, 1, Mode::Relaxed);
+                        }) as BodyFn<'_, _, _>
+                    })
+                    .collect(),
+                |ctx, &l, _| ctx.peek(l).expect_int(),
+            )
+            .result
+            .unwrap()
+        }
+        for seed in 0..10 {
+            let out = run_model(
+                &Config::default(),
+                random_strategy(seed),
+                |ctx| ctx.alloc("x", Val::Int(0)),
+                (0..2)
+                    .map(|_| {
+                        Box::new(move |ctx: &mut ThreadCtx, &l: &Loc| {
+                            ctx.fetch_add(l, 1, Mode::Relaxed);
+                            // Runs on this body's coroutine stack, with the
+                            // other body suspended around it.
+                            let n = inner(seed);
+                            ctx.fetch_add(l, n, Mode::Relaxed);
+                        }) as BodyFn<'_, _, _>
+                    })
+                    .collect(),
+                |ctx, &l, _| (ctx.peek(l), inner(seed + 100)),
+            );
+            assert_eq!(out.result.unwrap(), (Val::Int(6), 2), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn sixty_five_bodies_grow_the_pool_and_overflow_the_candidate_mask() {
+        let out = run_model(
+            &Config::default(),
+            random_strategy(5),
+            |ctx| ctx.alloc("ctr", Val::Int(0)),
+            (0..65)
+                .map(|_| {
+                    Box::new(|ctx: &mut ThreadCtx, &l: &Loc| {
+                        ctx.fetch_add(l, 1, Mode::Relaxed);
+                    }) as BodyFn<'_, _, _>
+                })
+                .collect(),
+            |ctx, &l, _| ctx.peek(l),
+        );
+        assert_eq!(out.result.unwrap(), Val::Int(65));
+        // While tid 64 or 65 was selectable the mask cannot name it.
+        let unknown = |a: &&StepAccess| a.candidates == CANDIDATES_UNKNOWN;
+        assert!(out.accesses.iter().filter(unknown).count() >= 2);
+        assert_eq!(out.accesses[0].decision, Some(0));
+        assert_eq!(out.trace[0].arity, 65);
+    }
+
+    #[test]
+    fn host_code_before_the_first_instruction_runs_in_tid_order() {
+        for seed in 0..40 {
+            let n = 1 + seed as usize % 5;
+            let order = Mutex::new(Vec::new());
+            let out = run_model(
+                &Config::default(),
+                random_strategy(seed),
+                |ctx| ctx.alloc("ctr", Val::Int(0)),
+                (0..n)
+                    .map(|_| {
+                        Box::new(|ctx: &mut ThreadCtx, &l: &Loc| {
+                            order.lock().push(ctx.tid());
+                            ctx.fetch_add(l, 1, Mode::Relaxed);
+                        }) as BodyFn<'_, _, _>
+                    })
+                    .collect(),
+                |_, _, _| (),
+            );
+            out.result.unwrap();
+            assert_eq!(order.into_inner(), (1..=n).collect::<Vec<_>>());
+        }
+    }
+
+    /// Runs the calling test again, alone, in a child process, where it may
+    /// die or count the process's threads undisturbed by other tests.
+    /// Returns `None` inside that child.
+    fn rerun_in_child(test: &str) -> Option<std::process::ExitStatus> {
+        const KEY: &str = "ORC11_TEST_CHILD";
+        if std::env::var_os(KEY).is_some() {
+            return None;
+        }
+        let name = format!("{}::{test}", module_path!().split_once("::").unwrap().1);
+        let status = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", &name, "--test-threads=1"])
+            .env(KEY, "1")
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .unwrap();
+        Some(status)
+    }
+
+    #[test]
+    fn runaway_recursion_in_a_body_dies_on_the_guard_page() {
+        #[inline(never)]
+        fn recurse(ctx: &mut ThreadCtx, l: Loc, depth: u64) -> u64 {
+            let mut pad = [depth; 32];
+            std::hint::black_box(&mut pad);
+            if depth.is_multiple_of(4096) {
+                ctx.read(l, Mode::Relaxed);
+            }
+            if depth == u64::MAX {
+                return 0;
+            }
+            recurse(ctx, l, depth + 1) + pad[7]
+        }
+        let Some(status) = rerun_in_child("runaway_recursion_in_a_body_dies_on_the_guard_page")
+        else {
+            run_model(
+                &Config::default(),
+                random_strategy(0),
+                |ctx| ctx.alloc("x", Val::Int(0)),
+                (0..2)
+                    .map(|_| {
+                        Box::new(|ctx: &mut ThreadCtx, &l: &Loc| recurse(ctx, l, 1))
+                            as BodyFn<'_, _, _>
+                    })
+                    .collect(),
+                |_, _, _| (),
+            );
+            unreachable!("unbounded recursion returned");
+        };
+        // SIGSEGV (or SIGBUS, as some kernels report a guard hit): not a
+        // clean exit, not a failed test (101), not SIGABRT from an
+        // allocator that found its heap overwritten.
+        use std::os::unix::process::ExitStatusExt;
+        assert!(
+            matches!(status.signal(), Some(11 | 7 | 10)),
+            "child should die on the stack guard, got {status:?}"
+        );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn exploring_eight_bodies_creates_no_os_thread() {
+        fn os_threads() -> usize {
+            let status = std::fs::read_to_string("/proc/self/status").unwrap();
+            let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+            line["Threads:".len()..].trim().parse().unwrap()
+        }
+        const RAN: i32 = 17;
+        let Some(status) = rerun_in_child("exploring_eight_bodies_creates_no_os_thread") else {
+            let before = os_threads();
+            let during = Mutex::new(Vec::new());
+            for seed in 0..20 {
+                let out = run_model(
+                    &Config::default(),
+                    random_strategy(seed),
+                    |ctx| ctx.alloc("ctr", Val::Int(0)),
+                    (0..8)
+                        .map(|_| {
+                            Box::new(|ctx: &mut ThreadCtx, &l: &Loc| {
+                                ctx.fetch_add(l, 1, Mode::Relaxed);
+                                during.lock().push(os_threads());
+                                ctx.fetch_add(l, 1, Mode::Relaxed);
+                            }) as BodyFn<'_, _, _>
+                        })
+                        .collect(),
+                    |ctx, &l, _| ctx.peek(l),
+                );
+                assert_eq!(out.result.unwrap(), Val::Int(16));
+            }
+            let during = during.into_inner();
+            assert_eq!(during.len(), 160);
+            assert!(during.iter().all(|&t| t == before), "{before} → {during:?}");
+            assert_eq!(os_threads(), before);
+            std::process::exit(RAN);
+        };
+        assert_eq!(status.code(), Some(RAN), "child: {status:?}");
     }
 
     #[test]

@@ -71,6 +71,7 @@
 
 pub mod checkpoint;
 mod clock;
+mod coro;
 pub mod dpor;
 mod error;
 mod exec;

@@ -342,6 +342,11 @@ impl WorkSource {
                             prefix: prefix.choices,
                         }]);
                     }
+                    // An empty frontier is a sample too — and the one
+                    // event that gives a worker which never got a prefix
+                    // (a small tree drained by its siblings before this
+                    // thread was scheduled) a row in the trace.
+                    gauge_frontier_depth(0);
                     if *active == 0 {
                         return None;
                     }
