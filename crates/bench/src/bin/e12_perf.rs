@@ -8,7 +8,9 @@
 //! (`compass_native::perf`, thread-local, merged at round end) and
 //! throughput-vs-threads curves; then times the explorer itself
 //! (execs/sec, plain and DPOR DFS) over the e8 litmus gallery so
-//! exploration speed is tracked in the same document.
+//! exploration speed is tracked in the same document. One sweep of the
+//! gallery is ~10 ms, short enough for a single descheduling to decide
+//! it, so the gallery is swept repeatedly and the median sweep reported.
 //!
 //! Usage: `e12_perf [ops_per_thread=50000] [litmus_budget=200000]`
 //!
@@ -31,7 +33,7 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use compass_bench::metrics::Metrics;
 use compass_bench::perf::{curve_point_json, perf_json, structure_json};
@@ -213,25 +215,80 @@ fn thread_counts() -> Vec<usize> {
     }
 }
 
-/// Times one litmus shape under plain and DPOR DFS.
-fn shape_speed<S: Sync + 'static>(lit: &Litmus<S>, budget: u64, m: &mut Metrics) -> Json {
+/// The explorer row sweeps the gallery at least this many times …
+const MIN_SWEEPS: usize = 9;
+/// … and for at least this long.
+const MIN_SWEEP_TIME: Duration = Duration::from_millis(300);
+
+/// One timed pass over the litmus gallery.
+struct Sweep {
+    /// One row per shape, in gallery order.
+    tests: Vec<Json>,
+    /// Plain plus DPOR executions over all shapes (the same every sweep:
+    /// every shape is exhausted).
+    execs: u64,
+    ns: u64,
+}
+
+/// Times one litmus shape under plain and DPOR DFS; `m`, when given,
+/// takes both explorations' phase and reuse counters.
+fn shape_speed<S: Sync + 'static>(
+    lit: &Litmus<S>,
+    budget: u64,
+    m: Option<&mut Metrics>,
+    sweep: &mut Sweep,
+) {
     let t0 = Instant::now();
     let plain = lit.dfs_plain(budget);
     let plain_ns = t0.elapsed().as_nanos() as u64;
     let t1 = Instant::now();
     let dpor = lit.dfs_dpor(budget);
     let dpor_ns = t1.elapsed().as_nanos() as u64;
-    m.add_phases(&plain.report.phase_ns);
-    m.add_phases(&dpor.report.phase_ns);
-    m.add_reuse(&plain.report.reuse);
-    m.add_reuse(&dpor.report.reuse);
+    if let Some(m) = m {
+        m.add_phases(&plain.report.phase_ns);
+        m.add_phases(&dpor.report.phase_ns);
+        m.add_reuse(&plain.report.reuse);
+        m.add_reuse(&dpor.report.reuse);
+    }
     let rate = |execs: u64, ns: u64| execs as f64 * 1e9 / (ns.max(1)) as f64;
-    Json::obj()
+    let row = Json::obj()
         .set("name", lit.name())
         .set("plain_execs", plain.report.execs)
         .set("plain_execs_per_sec", rate(plain.report.execs, plain_ns))
         .set("dpor_execs", dpor.report.execs)
-        .set("dpor_execs_per_sec", rate(dpor.report.execs, dpor_ns))
+        .set("dpor_execs_per_sec", rate(dpor.report.execs, dpor_ns));
+    sweep.tests.push(row);
+    sweep.execs += plain.report.execs + dpor.report.execs;
+}
+
+fn sweep_gallery(budget: u64, mut m: Option<&mut Metrics>) -> Sweep {
+    let mut sweep = Sweep {
+        tests: Vec::new(),
+        execs: 0,
+        ns: 0,
+    };
+    let t0 = Instant::now();
+    macro_rules! shapes {
+        ($($f:ident),+ $(,)?) => {
+            $(shape_speed(&gallery::$f(), budget, m.as_deref_mut(), &mut sweep);)+
+        };
+    }
+    shapes!(
+        mp_rel_acq,
+        mp_relaxed,
+        mp_fences,
+        sb,
+        sb_sc_fences,
+        corr,
+        iriw_acq,
+        lb,
+        two_plus_two_w,
+        cowr,
+        release_sequence,
+        rmw_atomicity,
+    );
+    sweep.ns = t0.elapsed().as_nanos() as u64;
+    sweep
 }
 
 fn main() {
@@ -327,46 +384,28 @@ fn main() {
     println!("{}", table.render());
 
     println!("explorer speed (litmus gallery, budget {budget}):");
-    let mut tests = Json::arr();
-    let mut total_execs = 0u64;
+    // Phase and reuse counters come from the first sweep alone, so the
+    // metrics describe one pass however many are timed.
     let explorer_t0 = Instant::now();
-    macro_rules! shapes {
-        ($($f:ident),+ $(,)?) => {
-            $(
-                let row = shape_speed(&gallery::$f(), budget, &mut m);
-                if let Some(Json::Int(e)) = row.get("plain_execs") {
-                    total_execs += *e as u64;
-                }
-                if let Some(Json::Int(e)) = row.get("dpor_execs") {
-                    total_execs += *e as u64;
-                }
-                tests = tests.push(row);
-            )+
-        };
+    let mut sweeps = vec![sweep_gallery(budget, Some(&mut m))];
+    while sweeps.len() < MIN_SWEEPS || explorer_t0.elapsed() < MIN_SWEEP_TIME {
+        sweeps.push(sweep_gallery(budget, None));
     }
-    shapes!(
-        mp_rel_acq,
-        mp_relaxed,
-        mp_fences,
-        sb,
-        sb_sc_fences,
-        corr,
-        iriw_acq,
-        lb,
-        two_plus_two_w,
-        cowr,
-        release_sequence,
-        rmw_atomicity,
-    );
-    let explorer_ns = explorer_t0.elapsed().as_nanos() as u64;
+    sweeps.sort_by_key(|s| s.ns);
+    let n_sweeps = sweeps.len();
+    let Sweep {
+        tests,
+        execs: total_execs,
+        ns: explorer_ns,
+    } = sweeps.swap_remove(n_sweeps / 2);
     let execs_per_sec = total_execs as f64 * 1e9 / explorer_ns.max(1) as f64;
     println!(
-        "  {total_execs} execs in {} ({execs_per_sec:.0} execs/s)\n",
+        "  {total_execs} execs in {} ({execs_per_sec:.0} execs/s; median of {n_sweeps} sweeps)\n",
         format_ns(explorer_ns)
     );
     let explorer = Json::obj()
         .set("budget", budget)
-        .set("tests", tests)
+        .set("tests", Json::Arr(tests))
         .set("total_execs", total_execs)
         .set("execs_per_sec", execs_per_sec);
 

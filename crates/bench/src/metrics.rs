@@ -15,7 +15,7 @@
 //!   "wall_ns": 12345678,  // wall-clock from Metrics::new() to to_json()
 //!   "phase_ns": { ... },  // per-phase busy time (orc11::trace)
 //!   "workers": [ ... ],   // per-worker load-balance counters
-//!   "reuse": { ... },     // arena/checkpoint reuse (orc11::checkpoint)
+//!   "reuse": { ... },     // arena reuse (orc11::ReuseStats)
 //!   "perf": null,         // performance measurements (e12_perf only)
 //!   "soak": null,         // soak run reports (e13_soak only)
 //!   "arc": null,          // refcount-spec results (e14_arc_stm only)
@@ -50,11 +50,12 @@
 //! `null` for every experiment except `e12_perf`, whose `perf` shape is
 //! pinned by `tests/perf_schema.rs` and documented in
 //! [`crate::perf`]. Schema v7 adds `reuse` ([`Metrics::add_reuse`]):
-//! execution-arena and prefix-checkpoint reuse counters
-//! (`arena_execs` / `checkpoints_taken` / `checkpoints_restored` /
-//! `prefix_steps_saved`, see `orc11::checkpoint`), accumulated over
-//! every report the experiment feeds in; all zero when nothing was
-//! reused (serial one-shot runs, `COMPASS_CHECKPOINT=0`).
+//! execution-arena reuse counters (see `orc11::ReuseStats`),
+//! accumulated over every report the experiment feeds in. Only
+//! `arena_execs` is live; `checkpoints_taken` / `checkpoints_restored`
+//! / `prefix_steps_saved` counted setup-prefix checkpointing, which
+//! was removed, and stay in the object as constant zeros until the
+//! schema drops them.
 //! Schema v8 adds `soak` ([`Metrics::set_soak`]): per-structure
 //! [`compass::soak::SoakReport`] objects (epochs sealed/checked/shed,
 //! sampling-governor trajectory, overhead estimate, violation clauses)
@@ -150,7 +151,7 @@ impl Metrics {
         }
     }
 
-    /// Accumulates a report's arena/checkpoint reuse counters into the
+    /// Accumulates a report's arena reuse counters into the
     /// document's schema-v7 `reuse` object (e.g.
     /// `m.add_reuse(&report.reuse)` once per exploration).
     pub fn add_reuse(&mut self, reuse: &ReuseStats) {

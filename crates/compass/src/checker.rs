@@ -333,11 +333,10 @@ pub struct CheckReport {
     /// dependent, so *not* part of [`CheckReport::to_json`]; metrics use
     /// [`CheckReport::workers_json`].
     pub workers: Vec<WorkerStats>,
-    /// Execution-arena and prefix-checkpoint reuse counters (see
-    /// `orc11::checkpoint`). Warm-state-dependent — a worker's arena
-    /// persists across runs on the same OS thread — so, like `workers`,
-    /// *not* part of [`CheckReport::to_json`]; metrics use
-    /// [`CheckReport::reuse_json`].
+    /// Execution-arena reuse counters (see `orc11::ReuseStats`).
+    /// Warm-state-dependent — a worker's arena persists across runs on
+    /// the same OS thread — so, like `workers`, *not* part of
+    /// [`CheckReport::to_json`]; metrics use [`CheckReport::reuse_json`].
     pub reuse: orc11::ReuseStats,
     /// Where the first failure's replay bundle was written, if
     /// [`CheckOptions::bundle_dir`] was set and a failure occurred.
@@ -436,7 +435,7 @@ impl CheckReport {
         orc11::workers_to_json(&self.workers)
     }
 
-    /// Machine-readable arena/checkpoint reuse counters (for experiment
+    /// Machine-readable arena reuse counters (for experiment
     /// metrics). Kept out of [`CheckReport::to_json`] because arena
     /// warmth persists across runs on the same OS thread, which would
     /// break the byte-identical guarantee that function carries.
@@ -486,9 +485,6 @@ struct Progress {
     dfs: bool,
     start: Instant,
     done: AtomicU64,
-    /// Process-global reuse totals at construction; the line reports the
-    /// delta, i.e. this run's arena/checkpoint reuse.
-    reuse0: orc11::ReuseStats,
 }
 
 impl Progress {
@@ -499,7 +495,6 @@ impl Progress {
             dfs: matches!(spec, WorkSpec::Dfs { .. } | WorkSpec::DfsDpor { .. }),
             start: Instant::now(),
             done: AtomicU64::new(0),
-            reuse0: orc11::global_reuse(),
         }
     }
 
@@ -517,21 +512,6 @@ impl Progress {
         format!(", ~{est_total} total ({pct:.1}%), ETA {eta}")
     }
 
-    /// `", ckpt 12/340 (5200 steps saved)"` — restores/execs plus prefix
-    /// steps skipped so far; empty while nothing was reused.
-    fn reuse_suffix(&self) -> String {
-        let r = orc11::global_reuse().delta_since(&self.reuse0);
-        if r.checkpoints_restored == 0 && r.arena_execs == 0 {
-            return String::new();
-        }
-        format!(
-            ", ckpt {}/{} ({} steps saved)",
-            r.checkpoints_restored,
-            self.done.load(Ordering::Relaxed),
-            r.prefix_steps_saved
-        )
-    }
-
     fn tick(&self) {
         if !self.line.enabled() {
             return;
@@ -541,21 +521,19 @@ impl Progress {
             let rate = done as f64 / self.start.elapsed().as_secs_f64().max(1e-9);
             if self.dfs {
                 format!(
-                    "{done} execs, {rate:.0}/s, frontier {}{}{}",
+                    "{done} execs, {rate:.0}/s, frontier {}{}",
                     trace::frontier_depth(),
-                    self.estimate_suffix(rate),
-                    self.reuse_suffix()
+                    self.estimate_suffix(rate)
                 )
             } else if self.total > done {
                 let pct = 100.0 * done as f64 / self.total as f64;
                 let eta = (self.total - done) as f64 / rate.max(1e-9);
                 format!(
-                    "{done}/{} execs ({pct:.0}%), {rate:.0}/s, ETA {eta:.1}s{}",
-                    self.total,
-                    self.reuse_suffix()
+                    "{done}/{} execs ({pct:.0}%), {rate:.0}/s, ETA {eta:.1}s",
+                    self.total
                 )
             } else {
-                format!("{done} execs, {rate:.0}/s{}", self.reuse_suffix())
+                format!("{done} execs, {rate:.0}/s")
             }
         });
     }
@@ -564,9 +542,8 @@ impl Progress {
         let done = self.done.load(Ordering::Relaxed);
         let secs = self.start.elapsed().as_secs_f64();
         self.line.finish(&format!(
-            "{done} execs in {secs:.2}s ({:.0}/s){}",
-            done as f64 / secs.max(1e-9),
-            self.reuse_suffix()
+            "{done} execs in {secs:.2}s ({:.0}/s)",
+            done as f64 / secs.max(1e-9)
         ));
     }
 }

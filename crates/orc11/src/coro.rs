@@ -21,9 +21,12 @@
 //! The stack grows down from the top; running off the bottom faults on
 //! the guard and the process dies by `SIGSEGV` instead of scribbling
 //! over the heap. The block is one heap allocation (2 MiB including the
-//! guard — std's default thread stack — of which only touched pages are
-//! ever resident) made once per pooled coroutine and reused by every
-//! task it later hosts.
+//! guard — std's default thread stack) reused by every task its
+//! coroutine hosts and, once that coroutine is dropped, by the next one
+//! created anywhere in the process ([`FREE`]). Only touched pages of a
+//! block are resident, which is why blocks are never handed back:
+//! exploration workers and their arenas die with each exploration, and
+//! a freed 2 MiB block returns carved out of recycled, dirty heap.
 
 use std::alloc::{self, Layout};
 use std::any::Any;
@@ -32,6 +35,8 @@ use std::cell::Cell;
 use std::ffi::{c_int, c_void};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::{self, NonNull};
+
+use crate::sync::Mutex;
 
 #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
 compile_error!(
@@ -49,7 +54,6 @@ const GUARD_BYTES: usize = 64 << 10;
 const CANARY: usize = 0x5ca1_ab1e_0c0a_57ac_u64 as usize;
 
 const PROT_NONE: c_int = 0;
-const PROT_READ_WRITE: c_int = 1 | 2;
 
 extern "C" {
     fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
@@ -59,6 +63,23 @@ struct Stack {
     base: NonNull<u8>,
 }
 
+/// A guarded block no [`Stack`] holds.
+struct FreeBlock(NonNull<u8>);
+
+// SAFETY: a block on the list is owned by the list alone — the `Stack`
+// that pushed it is gone and nothing runs on it — so the thread that
+// pops it is its only user.
+unsafe impl Send for FreeBlock {}
+
+/// Blocks of dropped stacks, guard still `PROT_NONE`. Never shrinks: it
+/// is bounded by the largest number of coroutines ever live at once.
+static FREE: Mutex<Vec<FreeBlock>> = Mutex::new(Vec::new());
+
+/// Blocks ever taken from the allocator.
+#[cfg(test)]
+pub(crate) static ALLOCATED: std::sync::atomic::AtomicUsize =
+    std::sync::atomic::AtomicUsize::new(0);
+
 impl Stack {
     const LAYOUT: Layout = match Layout::from_size_align(STACK_BYTES, GUARD_BYTES) {
         Ok(l) => l,
@@ -66,6 +87,20 @@ impl Stack {
     };
 
     fn new() -> Stack {
+        let pooled = FREE.lock().pop();
+        let base = pooled.map_or_else(Self::alloc_guarded, |b| b.0);
+        let stack = Stack { base };
+        // SAFETY: see `canary`; nothing else has the block yet.
+        #[cfg(debug_assertions)]
+        unsafe {
+            stack.canary().write(CANARY);
+        }
+        stack
+    }
+
+    fn alloc_guarded() -> NonNull<u8> {
+        #[cfg(test)]
+        ALLOCATED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         // SAFETY: LAYOUT has non-zero size.
         let Some(base) = NonNull::new(unsafe { alloc::alloc(Self::LAYOUT) }) else {
             alloc::handle_alloc_error(Self::LAYOUT)
@@ -75,13 +110,7 @@ impl Stack {
         // access to memory nobody has been handed yet breaks no reference.
         let rc = unsafe { mprotect(base.as_ptr().cast(), GUARD_BYTES, PROT_NONE) };
         assert_eq!(rc, 0, "mprotect could not guard a coroutine stack");
-        let stack = Stack { base };
-        // SAFETY: see `canary`; nothing else has the block yet.
-        #[cfg(debug_assertions)]
-        unsafe {
-            stack.canary().write(CANARY);
-        }
-        stack
+        base
     }
 
     /// The lowest usable word: inside the block, just above the guard,
@@ -102,13 +131,7 @@ impl Stack {
 
 impl Drop for Stack {
     fn drop(&mut self) {
-        // SAFETY: same range as in `new`. The allocator must get the block
-        // back fully accessible, so if the kernel refuses, leak it.
-        unsafe {
-            if mprotect(self.base.as_ptr().cast(), GUARD_BYTES, PROT_READ_WRITE) == 0 {
-                alloc::dealloc(self.base.as_ptr(), Self::LAYOUT);
-            }
-        }
+        FREE.lock().push(FreeBlock(self.base));
     }
 }
 

@@ -40,18 +40,19 @@
 //! calls: one pooled coroutine stack per body slot (allocated once,
 //! reused by every later execution), the shared execution state (memory
 //! location histories, thread views, trace and access buffers — cleared
-//! with capacity retained), and the setup-prefix checkpoint (see
-//! [`crate::checkpoint`]).
+//! with capacity retained) and a pooled strategy reset from its
+//! descriptor. Every execution runs its setup, bodies and finish in full;
+//! [`global_reuse`] counts the executions that landed on a warm arena.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::sync::Mutex;
 
-use crate::checkpoint::{self, CachedResult, Checkpoint, CkptCtl, CkptMode, CkptStatus};
 use crate::coro::{self, Coro};
 use crate::dpor::{Access, AccessKind, StepAccess, CANDIDATES_UNKNOWN};
 use crate::error::ModelError;
@@ -60,7 +61,7 @@ use crate::memory::Memory;
 use crate::mode::{FenceMode, Mode};
 use crate::oplog::{OpKindRecord, OpRecord};
 use crate::sched::{dfs_strategy, Choice, ChoiceKind, Strategy};
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, ReuseStats};
 use crate::tview::ThreadView;
 use crate::val::{Loc, ThreadId, Val};
 use crate::work::StrategyDesc;
@@ -130,8 +131,6 @@ struct ExecState {
     pending_decision: Option<(u32, u64)>,
     /// Per-body-instruction access summaries (see [`RunOutcome::accesses`]).
     accesses: Vec<StepAccess>,
-    /// Prefix-checkpoint control block (see [`crate::checkpoint`]).
-    ckpt: CkptCtl,
     /// Scratch for `maybe_decide` (cleared per decision, capacity kept).
     selectable: Vec<ThreadId>,
 }
@@ -158,7 +157,6 @@ impl ExecState {
             cur_ghost: false,
             pending_decision: None,
             accesses: Vec::new(),
-            ckpt: CkptCtl::new(),
             selectable: Vec::new(),
         }
     }
@@ -275,13 +273,6 @@ impl GhostHandle<'_> {
 pub struct ThreadCtx {
     shared: Arc<ExecShared>,
     tid: ThreadId,
-    /// True only on the main context while a checkpointed setup is being
-    /// fast-forwarded: plain operations return cached results without
-    /// touching simulator state (see [`crate::checkpoint`]).
-    replay: bool,
-    /// True only on the main context during a recording setup: plain
-    /// operations append their results to the op cache.
-    record: bool,
 }
 
 impl fmt::Debug for ThreadCtx {
@@ -309,39 +300,6 @@ pub struct RunOutcome<R> {
     /// scheduling decision that ran it. Consumed by the DPOR layer
     /// (see [`crate::dpor`]); setup/finish instructions are not recorded.
     pub accesses: Vec<StepAccess>,
-}
-
-/// Operation tags feeding the replay-divergence hash.
-mod opk {
-    pub const ALLOC: u64 = 1;
-    pub const ALLOC_ATOMIC: u64 = 2;
-    pub const READ: u64 = 3;
-    pub const READ_AWAIT: u64 = 4;
-    pub const WRITE: u64 = 5;
-    pub const FENCE: u64 = 6;
-    pub const CAS: u64 = 7;
-    pub const EXCHANGE: u64 = 8;
-    pub const FETCH_ADD: u64 = 9;
-    pub const PEEK: u64 = 10;
-    pub const STEPS: u64 = 11;
-}
-
-/// Hash of an operation's arguments, for the debug-build verification that
-/// a checkpoint-replayed setup has not diverged from the recording. Release
-/// builds hash only the operation tag (the comparing `debug_assert`
-/// compiles out, so argument formatting would be wasted work).
-#[cfg(debug_assertions)]
-fn op_hash(kind: u64, args: &dyn fmt::Debug) -> u64 {
-    format!("{args:?}")
-        .bytes()
-        .fold(checkpoint::mix(0xcbf2_9ce4_8422_2325, kind), |a, b| {
-            checkpoint::mix(a, u64::from(b))
-        })
-}
-
-#[cfg(not(debug_assertions))]
-fn op_hash(kind: u64, _args: &dyn fmt::Debug) -> u64 {
-    kind
 }
 
 fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {
@@ -509,35 +467,9 @@ impl ThreadCtx {
         }
     }
 
-    /// Fetches the next cached result while fast-forwarding a checkpointed
-    /// setup (`self.replay`).
-    fn replay_next(&self, hash: u64) -> CachedResult {
-        let mut st = self.shared.state.lock();
-        debug_assert_eq!(st.ckpt.mode, CkptMode::Replay);
-        st.ckpt.replay_next(hash)
-    }
-
-    /// Appends a cached result while recording a checkpointable setup
-    /// (`self.record`).
-    fn ckpt_record(&self, hash: u64, result: CachedResult) {
-        self.shared.state.lock().ckpt.record(hash, result);
-    }
-
-    /// Marks the setup as uncacheable: called by every operation whose
-    /// effect cannot be replayed from a cached result (commit
-    /// continuations, ghost access).
-    fn mark_uncacheable(&self) {
-        self.shared.state.lock().ckpt.poison();
-    }
-
     /// Allocates a fresh location named `name`, initialized to `init`.
     pub fn alloc(&mut self, name: &str, init: Val) -> Loc {
-        if self.replay {
-            return self
-                .replay_next(op_hash(opk::ALLOC, &(name, init)))
-                .into_loc();
-        }
-        let loc = self.with_step(None, |st, tid| {
+        self.with_step(None, |st, tid| {
             st.cur_kind = AccessKind::Alloc;
             let loc = {
                 let ExecState {
@@ -548,23 +480,14 @@ impl ThreadCtx {
             st.stats.allocs += 1;
             st.record(tid, Some(loc), OpKindRecord::Alloc { count: 1 });
             Ok(loc)
-        });
-        if self.record {
-            self.ckpt_record(op_hash(opk::ALLOC, &(name, init)), CachedResult::Loc(loc));
-        }
-        loc
+        })
     }
 
     /// Allocates a contiguous block of locations (a record); address the
     /// fields with [`Loc::field`].
     pub fn alloc_block(&mut self, name: &str, inits: &[Val]) -> Loc {
-        if self.replay {
-            return self
-                .replay_next(op_hash(opk::ALLOC, &(name, inits)))
-                .into_loc();
-        }
         let n = inits.len() as u32;
-        let loc = self.with_step(None, |st, tid| {
+        self.with_step(None, |st, tid| {
             st.cur_kind = AccessKind::Alloc;
             let loc = {
                 let ExecState {
@@ -575,11 +498,7 @@ impl ThreadCtx {
             st.stats.allocs += u64::from(n);
             st.record(tid, Some(loc), OpKindRecord::Alloc { count: n });
             Ok(loc)
-        });
-        if self.record {
-            self.ckpt_record(op_hash(opk::ALLOC, &(name, inits)), CachedResult::Loc(loc));
-        }
-        loc
+        })
     }
 
     /// Allocates a location whose initializing write is atomic — use for
@@ -591,13 +510,8 @@ impl ThreadCtx {
 
     /// Block version of [`ThreadCtx::alloc_atomic`].
     pub fn alloc_block_atomic(&mut self, name: &str, inits: &[Val]) -> Loc {
-        if self.replay {
-            return self
-                .replay_next(op_hash(opk::ALLOC_ATOMIC, &(name, inits)))
-                .into_loc();
-        }
         let n = inits.len() as u32;
-        let loc = self.with_step(None, |st, tid| {
+        self.with_step(None, |st, tid| {
             st.cur_kind = AccessKind::Alloc;
             let loc = {
                 let ExecState {
@@ -608,14 +522,7 @@ impl ThreadCtx {
             st.stats.allocs += u64::from(n);
             st.record(tid, Some(loc), OpKindRecord::Alloc { count: n });
             Ok(loc)
-        });
-        if self.record {
-            self.ckpt_record(
-                op_hash(opk::ALLOC_ATOMIC, &(name, inits)),
-                CachedResult::Loc(loc),
-            );
-        }
-        loc
+        })
     }
 
     fn do_read<T>(
@@ -704,16 +611,7 @@ impl ThreadCtx {
     /// assert_eq!(out.result.unwrap(), Val::Int(5));
     /// ```
     pub fn read(&mut self, loc: Loc, mode: Mode) -> Val {
-        if self.replay {
-            return self
-                .replay_next(op_hash(opk::READ, &(loc, mode)))
-                .into_val();
-        }
-        let v = self.do_read(loc, mode, None, |_, _| ()).0;
-        if self.record {
-            self.ckpt_record(op_hash(opk::READ, &(loc, mode)), CachedResult::Val(v));
-        }
-        v
+        self.do_read(loc, mode, None, |_, _| ()).0
     }
 
     /// Like [`ThreadCtx::read`], running `k` atomically with the read
@@ -724,10 +622,6 @@ impl ThreadCtx {
         mode: Mode,
         k: impl FnOnce(Val, &mut GhostHandle) -> T,
     ) -> (Val, T) {
-        debug_assert!(!self.replay, "checkpoint replay reached an uncacheable op");
-        if self.record {
-            self.mark_uncacheable();
-        }
         self.do_read(loc, mode, None, k)
     }
 
@@ -748,19 +642,7 @@ impl ThreadCtx {
         mode: Mode,
         pred: impl Fn(Val) -> bool + Send + 'static,
     ) -> Val {
-        assert!(mode.is_atomic(), "read_await requires an atomic mode");
-        if self.replay {
-            return self
-                .replay_next(op_hash(opk::READ_AWAIT, &(loc, mode)))
-                .into_val();
-        }
-        let v = self
-            .do_read(loc, mode, Some((loc, mode, Box::new(pred))), |_, _| ())
-            .0;
-        if self.record {
-            self.ckpt_record(op_hash(opk::READ_AWAIT, &(loc, mode)), CachedResult::Val(v));
-        }
-        v
+        self.read_await_with(loc, mode, pred, |_, _| ()).0
     }
 
     /// Like [`ThreadCtx::read_await`] with a commit continuation.
@@ -772,44 +654,18 @@ impl ThreadCtx {
         k: impl FnOnce(Val, &mut GhostHandle) -> T,
     ) -> (Val, T) {
         assert!(mode.is_atomic(), "read_await requires an atomic mode");
-        debug_assert!(!self.replay, "checkpoint replay reached an uncacheable op");
-        if self.record {
-            self.mark_uncacheable();
-        }
         self.do_read(loc, mode, Some((loc, mode, Box::new(pred))), k)
     }
 
     /// Writes `val` to `loc` at `mode`.
     pub fn write(&mut self, loc: Loc, val: Val, mode: Mode) {
-        if self.replay {
-            self.replay_next(op_hash(opk::WRITE, &(loc, val, mode)))
-                .into_unit();
-            return;
-        }
-        self.do_write(loc, val, mode, |_| ());
-        if self.record {
-            self.ckpt_record(op_hash(opk::WRITE, &(loc, val, mode)), CachedResult::Unit);
-        }
+        self.write_with(loc, val, mode, |_| ());
     }
 
     /// Like [`ThreadCtx::write`], running `k` atomically with the write,
     /// *before* its message is published: ghost events added by `k` ride on
     /// the message (the write-commit window).
     pub fn write_with<T>(
-        &mut self,
-        loc: Loc,
-        val: Val,
-        mode: Mode,
-        k: impl FnOnce(&mut GhostHandle) -> T,
-    ) -> T {
-        debug_assert!(!self.replay, "checkpoint replay reached an uncacheable op");
-        if self.record {
-            self.mark_uncacheable();
-        }
-        self.do_write(loc, val, mode, k)
-    }
-
-    fn do_write<T>(
         &mut self,
         loc: Loc,
         val: Val,
@@ -847,10 +703,6 @@ impl ThreadCtx {
 
     /// Issues a fence.
     pub fn fence(&mut self, mode: FenceMode) {
-        if self.replay {
-            self.replay_next(op_hash(opk::FENCE, &mode)).into_unit();
-            return;
-        }
         self.with_step(None, |st, tid| {
             st.cur_kind = AccessKind::Fence {
                 sc: mode == FenceMode::SeqCst,
@@ -865,9 +717,6 @@ impl ThreadCtx {
             st.record(tid, None, OpKindRecord::Fence { mode });
             Ok(())
         });
-        if self.record {
-            self.ckpt_record(op_hash(opk::FENCE, &mode), CachedResult::Unit);
-        }
     }
 
     /// General read-modify-write: atomically reads the latest value,
@@ -905,21 +754,6 @@ impl ThreadCtx {
     /// out.result.unwrap();
     /// ```
     pub fn update_with<T>(
-        &mut self,
-        loc: Loc,
-        compute: impl FnOnce(Val) -> Option<Val>,
-        ok_mode: Mode,
-        fail_mode: Mode,
-        k: impl FnOnce(&OpResult, &mut GhostHandle) -> T,
-    ) -> (Val, bool, T) {
-        debug_assert!(!self.replay, "checkpoint replay reached an uncacheable op");
-        if self.record {
-            self.mark_uncacheable();
-        }
-        self.do_update(loc, compute, ok_mode, fail_mode, k)
-    }
-
-    fn do_update<T>(
         &mut self,
         loc: Loc,
         compute: impl FnOnce(Val) -> Option<Val>,
@@ -1007,26 +841,8 @@ impl ThreadCtx {
         ok_mode: Mode,
         fail_mode: Mode,
     ) -> Result<Val, Val> {
-        if self.replay {
-            return self
-                .replay_next(op_hash(opk::CAS, &(loc, expect, new, ok_mode, fail_mode)))
-                .into_cas();
-        }
-        let (old, ok, ()) = self.do_update(
-            loc,
-            |v| if v == expect { Some(new) } else { None },
-            ok_mode,
-            fail_mode,
-            |_, _| (),
-        );
-        let r = if ok { Ok(old) } else { Err(old) };
-        if self.record {
-            self.ckpt_record(
-                op_hash(opk::CAS, &(loc, expect, new, ok_mode, fail_mode)),
-                CachedResult::Cas(r),
-            );
-        }
-        r
+        self.cas_with(loc, expect, new, ok_mode, fail_mode, |_, _| ())
+            .0
     }
 
     /// [`ThreadCtx::cas`] with a commit continuation (see
@@ -1052,19 +868,7 @@ impl ThreadCtx {
 
     /// Atomically replaces the value at `loc`, returning the old value.
     pub fn exchange(&mut self, loc: Loc, val: Val, mode: Mode) -> Val {
-        if self.replay {
-            return self
-                .replay_next(op_hash(opk::EXCHANGE, &(loc, val, mode)))
-                .into_val();
-        }
-        let (old, _ok, ()) = self.do_update(loc, |_| Some(val), mode, mode, |_, _| ());
-        if self.record {
-            self.ckpt_record(
-                op_hash(opk::EXCHANGE, &(loc, val, mode)),
-                CachedResult::Val(old),
-            );
-        }
-        old
+        self.exchange_with(loc, val, mode, |_, _| ()).0
     }
 
     /// [`ThreadCtx::exchange`] with a commit continuation.
@@ -1087,25 +891,7 @@ impl ThreadCtx {
     /// Panics (aborting the execution) if the location does not hold an
     /// integer.
     pub fn fetch_add(&mut self, loc: Loc, delta: i64, mode: Mode) -> Val {
-        if self.replay {
-            return self
-                .replay_next(op_hash(opk::FETCH_ADD, &(loc, delta, mode)))
-                .into_val();
-        }
-        let (old, _ok, ()) = self.do_update(
-            loc,
-            |v| Some(Val::Int(v.expect_int() + delta)),
-            mode,
-            mode,
-            |_, _| (),
-        );
-        if self.record {
-            self.ckpt_record(
-                op_hash(opk::FETCH_ADD, &(loc, delta, mode)),
-                CachedResult::Val(old),
-            );
-        }
-        old
+        self.fetch_add_with(loc, delta, mode, |_, _| ()).0
     }
 
     /// [`ThreadCtx::fetch_add`] with a commit continuation.
@@ -1132,10 +918,6 @@ impl ThreadCtx {
     /// assertion). Reading it is not a scheduling point: only the thread
     /// itself mutates its ghost state.
     pub fn ghost(&self, key: u64) -> BTreeSet<u64> {
-        debug_assert!(!self.replay, "checkpoint replay reached an uncacheable op");
-        if self.record {
-            self.mark_uncacheable();
-        }
         let st = self.shared.state.lock();
         st.threads[self.tid].tv.cur.ghost.get(key)
     }
@@ -1144,10 +926,6 @@ impl ThreadCtx {
     /// operation (e.g. when a library hands the caller an event id through
     /// a return value rather than through memory).
     pub fn ghost_add(&mut self, key: u64, id: u64) {
-        debug_assert!(!self.replay, "checkpoint replay reached an uncacheable op");
-        if self.record {
-            self.mark_uncacheable();
-        }
         let mut st = self.shared.state.lock();
         let tv = &mut st.threads[self.tid].tv;
         tv.cur.ghost.insert(key, id);
@@ -1157,44 +935,26 @@ impl ThreadCtx {
     /// The latest value at `loc`, bypassing synchronization and race
     /// detection. Intended for the finish phase and debugging.
     pub fn peek(&self, loc: Loc) -> Val {
-        if self.replay {
-            return self.replay_next(op_hash(opk::PEEK, &loc)).into_val();
-        }
-        let v = self.shared.state.lock().memory.peek_latest(loc);
-        if self.record {
-            self.ckpt_record(op_hash(opk::PEEK, &loc), CachedResult::Val(v));
-        }
-        v
+        self.shared.state.lock().memory.peek_latest(loc)
     }
 
     /// Number of model instructions executed so far.
     pub fn step_count(&self) -> u64 {
-        if self.replay {
-            return self.replay_next(op_hash(opk::STEPS, &())).into_num();
-        }
-        let s = self.shared.state.lock().steps;
-        if self.record {
-            self.ckpt_record(op_hash(opk::STEPS, &()), CachedResult::Num(s));
-        }
-        s
+        self.shared.state.lock().steps
     }
 }
 
 /// A parallel body of a model program.
 pub type BodyFn<'a, S, O> = Box<dyn FnOnce(&mut ThreadCtx, &S) -> O + Send + 'a>;
 
-/// The reusable per-OS-thread execution arena: pooled coroutine stacks,
-/// pooled simulator state, and the prefix-checkpoint slot. See the module
-/// docs.
+/// The reusable per-OS-thread execution arena: pooled coroutine stacks
+/// and pooled simulator state. See the module docs.
 struct ExecArena {
     shared: Arc<ExecShared>,
     /// The coroutine hosting body `i` (tid `i + 1`); grown on demand, so
     /// an execution allocates a stack only the first time the arena sees
     /// that many bodies.
     coros: Vec<Coro>,
-    ckpt: Checkpoint,
-    /// False until the arena has hosted one execution.
-    warm: bool,
 }
 
 impl ExecArena {
@@ -1202,8 +962,6 @@ impl ExecArena {
         ExecArena {
             shared: Arc::new(ExecShared::new()),
             coros: Vec::new(),
-            ckpt: Checkpoint::new(),
-            warm: false,
         }
     }
 }
@@ -1213,6 +971,33 @@ thread_local! {
     /// Taken for the duration of an execution; a nested `run_model` (from
     /// inside a model closure) simply builds a fresh arena.
     static ARENA: RefCell<Option<ExecArena>> = const { RefCell::new(None) };
+    /// Executions this thread has run on a warm arena, cumulatively.
+    static WARM_EXECS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`WARM_EXECS`] summed over every thread.
+static G_WARM_EXECS: AtomicU64 = AtomicU64::new(0);
+
+fn note_arena_reuse() {
+    WARM_EXECS.set(WARM_EXECS.get() + 1);
+    G_WARM_EXECS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// This thread's cumulative reuse counters (drivers subtract snapshots to
+/// attribute deltas to one exploration).
+pub(crate) fn local_reuse() -> ReuseStats {
+    ReuseStats {
+        arena_execs: WARM_EXECS.get(),
+        ..ReuseStats::ZERO
+    }
+}
+
+/// Process-wide reuse totals, for telemetry and diagnostics.
+pub fn global_reuse() -> ReuseStats {
+    ReuseStats {
+        arena_execs: G_WARM_EXECS.load(Ordering::Relaxed),
+        ..ReuseStats::ZERO
+    }
 }
 
 /// How `run_model_impl` obtains the execution's strategy: a caller-built
@@ -1279,9 +1064,6 @@ fn reset_state(st: &mut ExecState, cfg: &Config, n: usize, init: StrategyInit<'_
     st.cur_ghost = false;
     st.pending_decision = None;
     st.accesses.clear();
-    st.ckpt.mode = CkptMode::Off;
-    st.ckpt.idx = 0;
-    st.ckpt.poisoned = false;
     #[cfg(debug_assertions)]
     {
         debug_assert_eq!(st.trace.as_ptr(), fp.0, "trace buffer rebuilt on reset");
@@ -1297,14 +1079,6 @@ fn reset_state(st: &mut ExecState, cfg: &Config, n: usize, init: StrategyInit<'_
         );
         debug_assert!(st.threads.len() >= fp.3, "thread slots shrank on reset");
     }
-}
-
-/// What this execution does with the arena's checkpoint slot.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CkptAction {
-    Off,
-    Record,
-    Restore,
 }
 
 /// Runs one model execution.
@@ -1345,14 +1119,13 @@ where
     O: Send,
 {
     let _span = crate::trace::span(crate::trace::Phase::Explore, "exec");
-    let mut arena = ARENA
-        .with(|a| a.borrow_mut().take())
-        .unwrap_or_else(ExecArena::new);
-    if arena.warm {
-        checkpoint::note_arena_reuse();
+    // Only an arena that has hosted an execution is ever pooled.
+    let pooled = ARENA.with(|a| a.borrow_mut().take());
+    if pooled.is_some() {
+        note_arena_reuse();
     }
+    let mut arena = pooled.unwrap_or_else(ExecArena::new);
     let out = run_in_arena(&mut arena, cfg, init, setup, bodies, finish);
-    arena.warm = true;
     ARENA.with(|a| {
         let mut slot = a.borrow_mut();
         if slot.is_none() {
@@ -1377,45 +1150,7 @@ where
     let n = bodies.len();
     let shared = arena.shared.clone();
 
-    // Decide what to do with the checkpoint slot: replay recording is
-    // incompatible (the replayed prefix would be missing from the log), and
-    // a stale generation means a different exploration session owns the
-    // slot now.
-    let action = match (cfg.record_ops, checkpoint::active_gen()) {
-        (true, _) | (_, None) => CkptAction::Off,
-        (false, Some(gen)) => {
-            if arena.ckpt.gen != gen {
-                arena.ckpt.gen = gen;
-                arena.ckpt.status = CkptStatus::Empty;
-            }
-            match arena.ckpt.status {
-                CkptStatus::Armed => CkptAction::Restore,
-                CkptStatus::Empty => CkptAction::Record,
-                CkptStatus::Poisoned => CkptAction::Off,
-            }
-        }
-    };
-
-    {
-        let mut st = shared.state.lock();
-        reset_state(&mut st, cfg, n, init);
-        match action {
-            CkptAction::Restore => {
-                st.memory.copy_from(&arena.ckpt.memory);
-                st.threads[0].tv.clone_from(&arena.ckpt.tv0);
-                st.sc.clone_from(&arena.ckpt.sc);
-                st.steps = arena.ckpt.steps;
-                st.stats = arena.ckpt.stats;
-                st.ckpt.mode = CkptMode::Replay;
-                std::mem::swap(&mut st.ckpt.ops, &mut arena.ckpt.ops);
-            }
-            CkptAction::Record => {
-                st.ckpt.mode = CkptMode::Record;
-                st.ckpt.ops.clear();
-            }
-            CkptAction::Off => {}
-        }
-    }
+    reset_state(&mut shared.state.lock(), cfg, n, init);
 
     let outcome = |shared: &Arc<ExecShared>, result: Result<R, ModelError>| {
         let mut st = shared.state.lock();
@@ -1433,25 +1168,15 @@ where
         }
     };
 
-    // Phase 1: setup, solo — recorded, replayed, or plain per `action`.
+    // Phase 1: setup, solo.
     let mut main_ctx = ThreadCtx {
         shared: shared.clone(),
         tid: 0,
-        replay: action == CkptAction::Restore,
-        record: action == CkptAction::Record,
     };
     let s = match catch_unwind(AssertUnwindSafe(|| setup(&mut main_ctx))) {
         Ok(s) => s,
         Err(p) => {
             let mut st = shared.state.lock();
-            match action {
-                CkptAction::Record => arena.ckpt.status = CkptStatus::Poisoned,
-                CkptAction::Restore => {
-                    std::mem::swap(&mut st.ckpt.ops, &mut arena.ckpt.ops);
-                }
-                CkptAction::Off => {}
-            }
-            st.ckpt.mode = CkptMode::Off;
             let err = st.aborted.clone().unwrap_or_else(|| {
                 ModelError::ThreadPanic(if p.downcast_ref::<ModelAbort>().is_some() {
                     "aborted".into()
@@ -1464,41 +1189,6 @@ where
             return outcome(&shared, Err(err));
         }
     };
-    main_ctx.replay = false;
-    main_ctx.record = false;
-
-    // Finalize the checkpoint slot: arm it after a clean recording, or
-    // hand the op cache back after a replay.
-    {
-        let mut st = shared.state.lock();
-        match action {
-            CkptAction::Record => {
-                if !st.ckpt.poisoned && st.trace.is_empty() && st.aborted.is_none() {
-                    arena.ckpt.memory.copy_from(&st.memory);
-                    arena.ckpt.tv0.clone_from(&st.threads[0].tv);
-                    arena.ckpt.sc.clone_from(&st.sc);
-                    arena.ckpt.steps = st.steps;
-                    arena.ckpt.stats = st.stats;
-                    std::mem::swap(&mut arena.ckpt.ops, &mut st.ckpt.ops);
-                    arena.ckpt.status = CkptStatus::Armed;
-                    checkpoint::note_checkpoint_taken();
-                } else {
-                    arena.ckpt.status = CkptStatus::Poisoned;
-                }
-            }
-            CkptAction::Restore => {
-                debug_assert_eq!(
-                    st.ckpt.idx,
-                    st.ckpt.ops.len(),
-                    "setup replay did not consume the whole op cache"
-                );
-                std::mem::swap(&mut st.ckpt.ops, &mut arena.ckpt.ops);
-                checkpoint::note_restore(arena.ckpt.steps);
-            }
-            CkptAction::Off => {}
-        }
-        st.ckpt.mode = CkptMode::Off;
-    }
 
     // Phase 2: parallel bodies, one pooled coroutine each, driven here.
     {
@@ -1524,8 +1214,6 @@ where
                 let mut ctx = ThreadCtx {
                     shared: task_shared.clone(),
                     tid,
-                    replay: false,
-                    record: false,
                 };
                 let r = catch_unwind(AssertUnwindSafe(|| body(&mut ctx, s_ref)));
                 let mut st = task_shared.state.lock();
@@ -1943,7 +1631,7 @@ mod tests {
                     |e| matches!(e, ModelError::ThreadPanic(m) if m.contains("boom 7")),
                 ),
             ];
-            let mark = checkpoint::local();
+            let mark = local_reuse();
             for (name, rest, expected) in cases {
                 let (result, drops) = run_holding_locals(40, rest);
                 let err = result.expect_err(name);
@@ -1956,7 +1644,7 @@ mod tests {
                 });
                 assert_eq!((result, drops), (Ok(()), 3), "clean run after {name}");
             }
-            let delta = checkpoint::local().delta_since(&mark);
+            let delta = local_reuse().delta_since(&mark);
             assert_eq!(delta.arena_execs, 7, "one arena throughout: {delta:?}");
         })
         .join()
@@ -2196,6 +1884,43 @@ mod tests {
     }
 
     #[test]
+    fn worker_stacks_outlive_their_exploration() {
+        const RAN: i32 = 17;
+        let Some(status) = rerun_in_child("worker_stacks_outlive_their_exploration") else {
+            let mut eight = crate::litmus::Litmus::new("eight", |ctx| ctx.alloc("c", Val::Int(0)));
+            for _ in 0..8 {
+                eight = eight.thread(|ctx, &l| ctx.fetch_add(l, 1, Mode::Relaxed).expect_int());
+            }
+            // Four chunks of 16 seeds, and no worker gets past its first
+            // outcome before all four have one: every exploration has
+            // exactly 4 × 8 coroutines live at once.
+            let spec = crate::WorkSpec::Random {
+                iters: 64,
+                seed0: 0,
+            };
+            let allocated = || coro::ALLOCATED.load(Ordering::Relaxed);
+            let mut after_first = 0;
+            for round in 0..30 {
+                let all_started = std::sync::Barrier::new(4);
+                crate::Explorer::with_threads(4).explore_with(&spec, &eight, |_| {
+                    let (mut first, all_started) = (true, &all_started);
+                    move |_: &StrategyDesc, _: &RunOutcome<Vec<i64>>| {
+                        if std::mem::take(&mut first) {
+                            all_started.wait();
+                        }
+                    }
+                });
+                if round == 0 {
+                    after_first = allocated();
+                }
+            }
+            assert_eq!((after_first, allocated()), (32, 32));
+            std::process::exit(RAN);
+        };
+        assert_eq!(status.code(), Some(RAN), "child: {status:?}");
+    }
+
+    #[test]
     fn arena_is_reused_across_runs() {
         // A dedicated OS thread so the thread-local arena starts cold
         // regardless of how the test harness pools threads.
@@ -2211,11 +1936,11 @@ mod tests {
                     |ctx, &l, _| ctx.peek(l),
                 )
             };
-            let mark = checkpoint::local();
+            let mark = local_reuse();
             for _ in 0..3 {
                 assert_eq!(run().result.unwrap(), Val::Int(1));
             }
-            let delta = checkpoint::local().delta_since(&mark);
+            let delta = local_reuse().delta_since(&mark);
             // First run builds the arena; the remaining two reuse it.
             assert_eq!(delta.arena_execs, 2, "warm-arena executions: {delta:?}");
         })
@@ -2224,94 +1949,26 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_is_observationally_invisible() {
+    fn a_second_exploration_on_the_same_thread_starts_warm() {
         std::thread::spawn(|| {
-            // Under COMPASS_CHECKPOINT=0 (one CI leg) there is nothing to
-            // exercise here; the equivalence is vacuous.
-            if !checkpoint::enabled() {
-                return;
-            }
-            use crate::work::StrategyDesc;
-            let run = |desc: &StrategyDesc| {
-                run_model_impl(
-                    &Config::default(),
-                    StrategyInit::Desc(desc),
-                    |ctx| {
-                        // A setup with real work: alloc + plain ops, all
-                        // cacheable, so the prefix checkpoint arms.
-                        let l = ctx.alloc("ctr", Val::Int(0));
-                        ctx.write(l, Val::Int(1), Mode::NonAtomic);
-                        ctx.fence(crate::mode::FenceMode::Release);
-                        l
-                    },
-                    vec![
-                        Box::new(|ctx: &mut ThreadCtx, &l: &Loc| {
-                            ctx.fetch_add(l, 10, Mode::Relaxed);
-                        }) as BodyFn<'_, _, ()>,
-                        Box::new(|ctx: &mut ThreadCtx, &l: &Loc| {
-                            ctx.fetch_add(l, 100, Mode::Relaxed);
-                        }),
-                    ],
-                    |ctx, &l, _| ctx.peek(l),
-                )
+            let sb = crate::litmus::gallery::sb();
+            let explore = || {
+                let spec = crate::WorkSpec::Dfs { budget: 10_000 };
+                crate::Explorer::serial().explore(&spec, &sb, |_, _| ())
             };
-            let descs: Vec<StrategyDesc> =
-                (0..8).map(|seed| StrategyDesc::Random { seed }).collect();
-            // Cold: no session, every run replays the setup from scratch.
-            let cold: Vec<_> = descs.iter().map(run).collect();
-            // Warm: one session — the first run records and arms, the rest
-            // restore the snapshot instead of re-running the prefix.
-            let mark = checkpoint::local();
-            let warm: Vec<_> = {
-                let _session = checkpoint::begin_session();
-                descs.iter().map(run).collect()
-            };
-            let delta = checkpoint::local().delta_since(&mark);
-            assert!(delta.checkpoints_taken >= 1, "should arm: {delta:?}");
-            assert!(
-                delta.checkpoints_restored >= descs.len() as u64 - 1,
-                "should restore on every later run: {delta:?}"
-            );
-            assert!(delta.prefix_steps_saved > 0, "{delta:?}");
-            for (c, w) in cold.iter().zip(&warm) {
-                assert_eq!(c.result.as_ref().unwrap(), w.result.as_ref().unwrap());
-                assert_eq!(c.trace, w.trace);
-                assert_eq!(c.steps, w.steps);
-            }
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn uncacheable_setup_poisons_but_stays_correct() {
-        std::thread::spawn(|| {
-            let mark = checkpoint::local();
-            let _session = checkpoint::begin_session();
-            for seed in 0..4 {
-                let out = run_model(
-                    &Config::default(),
-                    random_strategy(seed),
-                    |ctx| {
-                        let l = ctx.alloc("x", Val::Int(0));
-                        // `write_with` takes a ghost closure — uncacheable,
-                        // so this setup must poison the checkpoint.
-                        ctx.write_with(l, Val::Int(3), Mode::Release, |gh| {
-                            gh.ghost_add(1, 5);
-                        });
-                        l
-                    },
-                    vec![Box::new(|ctx: &mut ThreadCtx, &l: &Loc| {
-                        ctx.read_await(l, Mode::Acquire, |v| v == Val::Int(3));
-                        ctx.ghost(1).contains(&5)
-                    }) as BodyFn<'_, _, _>],
-                    |_, _, outs: Vec<bool>| outs[0],
+            let (first, second) = (explore(), explore());
+            assert_eq!(first.reuse.arena_execs, first.execs - 1);
+            assert_eq!(second.reuse.arena_execs, second.execs);
+            assert!(second.reuse.arena_execs > 0);
+            // The retired checkpoint counters are never written.
+            for r in [first.reuse, second.reuse] {
+                let retired = (
+                    r.checkpoints_taken,
+                    r.checkpoints_restored,
+                    r.prefix_steps_saved,
                 );
-                assert!(out.result.unwrap(), "ghost must flow, seed {seed}");
+                assert_eq!(retired, (0, 0, 0));
             }
-            let delta = checkpoint::local().delta_since(&mark);
-            assert_eq!(delta.checkpoints_taken, 0, "{delta:?}");
-            assert_eq!(delta.checkpoints_restored, 0, "{delta:?}");
         })
         .join()
         .unwrap();

@@ -79,7 +79,7 @@ pub struct ExploreReport {
     /// dependent, so *not* part of [`ExploreReport::to_json`] — use
     /// [`ExploreReport::workers_json`] for metrics.
     pub workers: Vec<crate::stats::WorkerStats>,
-    /// Arena/checkpoint reuse counters (see [`crate::checkpoint`]).
+    /// Arena reuse counters (see [`crate::stats::ReuseStats`]).
     /// Scheduling- and warm-state-dependent (a worker's arena persists
     /// across explorations on the same OS thread), so — like `workers` —
     /// excluded from [`ExploreReport::to_json`]; use
@@ -222,7 +222,7 @@ impl ExploreReport {
         crate::stats::workers_to_json(&self.workers)
     }
 
-    /// The arena/checkpoint reuse counters as JSON. Kept separate from
+    /// The arena reuse counters as JSON. Kept separate from
     /// [`ExploreReport::to_json`] because arena warmth persists across
     /// explorations on the same OS thread, which would break the
     /// byte-identical guarantee that function carries.

@@ -69,7 +69,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod checkpoint;
 mod clock;
 mod coro;
 pub mod dpor;
@@ -99,11 +98,12 @@ mod val;
 mod view;
 mod work;
 
-pub use checkpoint::global_reuse;
 pub use clock::VecClock;
 pub use dpor::{conflicts, dpor_from_env, Access, AccessKind, StepAccess};
 pub use error::{ModelError, RaceInfo};
-pub use exec::{run_model, BodyFn, Config, GhostHandle, OpResult, RunOutcome, ThreadCtx};
+pub use exec::{
+    global_reuse, run_model, BodyFn, Config, GhostHandle, OpResult, RunOutcome, ThreadCtx,
+};
 pub use explore::{ExploreReport, Explorer, DEFAULT_MAX_ERRORS, DEFAULT_PCT_HORIZON};
 pub use frontier::Frontier;
 pub use ghost::GhostView;

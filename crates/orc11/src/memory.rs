@@ -28,17 +28,6 @@ struct LocState {
     read_epochs: HashMap<ThreadId, Epoch>,
 }
 
-impl LocState {
-    /// Copies `src` into `self`, reusing the existing buffers (history
-    /// vector, epoch tables, name string) instead of allocating fresh ones.
-    fn copy_from(&mut self, src: &LocState) {
-        self.name.clone_from(&src.name);
-        self.history.clone_from(&src.history);
-        self.write_epochs.clone_from(&src.write_epochs);
-        self.read_epochs.clone_from(&src.read_epochs);
-    }
-}
-
 /// The outcome of the read half of an RMW, handed to the commit
 /// continuation before the write half is published.
 #[derive(Debug)]
@@ -78,7 +67,7 @@ impl Memory {
 
     /// Forgets all allocations while retaining every underlying buffer, so
     /// the next execution's allocations reuse them instead of hitting the
-    /// allocator. Part of the arena reset path (see [`crate::checkpoint`]).
+    /// allocator. Part of the arena reset path (see [`crate::run_model`]).
     pub fn reset(&mut self) {
         self.live = 0;
     }
@@ -88,20 +77,6 @@ impl Memory {
     #[cfg(debug_assertions)]
     pub(crate) fn locs_capacity(&self) -> usize {
         self.locs.capacity()
-    }
-
-    /// Makes `self` an exact logical copy of `src`, reusing `self`'s
-    /// buffers where possible. Used in both directions by the checkpoint
-    /// layer: taking a snapshot into a pooled [`Memory`] and restoring
-    /// simulator state from one.
-    pub(crate) fn copy_from(&mut self, src: &Memory) {
-        if self.locs.len() < src.live {
-            self.locs.resize_with(src.live, LocState::default);
-        }
-        for (dst, s) in self.locs.iter_mut().zip(&src.locs[..src.live]) {
-            dst.copy_from(s);
-        }
-        self.live = src.live;
     }
 
     /// The debug name given to `loc` at allocation.
@@ -869,15 +844,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_reuses_slots_and_copy_from_round_trips() {
+    fn reset_reuses_slots() {
         let (mut mem, mut tv) = setup();
         let l = mem.alloc("x", Val::Int(1), &mut tv, 0);
         mem.write(0, &mut tv, l, Val::Int(2), Mode::Relaxed, |_| ())
             .unwrap();
-        let mut snap = Memory::new();
-        snap.copy_from(&mem);
-        assert_eq!(snap.num_locs(), 1);
-        assert_eq!(snap.peek_latest(l), Val::Int(2));
         // Reset retires the slot; the next allocation reuses it in place.
         mem.reset();
         assert_eq!(mem.num_locs(), 0);
@@ -887,12 +858,6 @@ mod tests {
         assert_eq!(mem.loc_name(l2), "y");
         assert_eq!(mem.history_len(l2), 1);
         assert_eq!(mem.peek_latest(l2), Val::Int(9));
-        // Restoring from the snapshot brings the old contents back.
-        mem.copy_from(&snap);
-        assert_eq!(mem.num_locs(), 1);
-        assert_eq!(mem.loc_name(l), "x");
-        assert_eq!(mem.peek_latest(l), Val::Int(2));
-        assert_eq!(mem.history_len(l), 2);
     }
 
     #[test]

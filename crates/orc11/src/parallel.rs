@@ -95,10 +95,7 @@ fn drive<M, S>(
     S: Sink<M::Out>,
 {
     let phase_mark = trace::thread_phases();
-    // One exploration session per worker: the execution arena may arm a
-    // prefix checkpoint scoped to this loop (see crate::checkpoint).
-    let _session = crate::checkpoint::begin_session();
-    let reuse_mark = crate::checkpoint::local();
+    let reuse_mark = crate::exec::local_reuse();
     // Executions/sec counter track: one meter per worker, sampled at
     // most every 100ms, and only while a trace session is on.
     let mut rate = RateMeter::new(RateMeter::DEFAULT_WINDOW);
@@ -134,7 +131,7 @@ fn drive<M, S>(
         .merge(&trace::thread_phases().delta_since(&phase_mark));
     report
         .reuse
-        .merge(&crate::checkpoint::local().delta_since(&reuse_mark));
+        .merge(&crate::exec::local_reuse().delta_since(&reuse_mark));
 }
 
 /// Runs `spec` over `model` with `threads` workers (callers resolve

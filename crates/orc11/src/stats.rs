@@ -463,25 +463,29 @@ pub fn workers_to_json(workers: &[WorkerStats]) -> Json {
     )
 }
 
-/// Arena/checkpoint reuse counters (see [`crate::checkpoint`]).
+/// Arena reuse counters (see [`crate::global_reuse`]).
 ///
 /// Like [`WorkerStats`], these describe *how* a particular run executed —
-/// how many executions landed on a warm arena, how many setup prefixes
-/// were fast-forwarded — not *what* it explored, and they depend on thread
-/// count and work distribution. They are therefore kept out of
-/// `ExploreReport::to_json` (which is pinned byte-identical across thread
-/// counts) and surface through [`ReuseStats::to_json`] in metrics and the
-/// progress line.
+/// how many executions landed on a warm arena — not *what* it explored,
+/// and they depend on thread count and work distribution. They are
+/// therefore kept out of `ExploreReport::to_json` (which is pinned
+/// byte-identical across thread counts) and surface through
+/// [`ReuseStats::to_json`] in metrics and telemetry.
+///
+/// Only `arena_execs` is ever written. The other three counted
+/// setup-prefix checkpointing, which was measured and removed
+/// (DESIGN.md §10); they stay, always 0, until the benchmark rows and
+/// metrics schema that read them are retired.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReuseStats {
     /// Executions that ran on an already-warm arena (no thread spawns, no
     /// state reallocation).
     pub arena_execs: u64,
-    /// Setup-prefix checkpoints recorded.
+    /// Retired: always 0, nothing writes it.
     pub checkpoints_taken: u64,
-    /// Executions that restored a checkpoint instead of re-running setup.
+    /// Retired: always 0, nothing writes it.
     pub checkpoints_restored: u64,
-    /// Total setup steps skipped by those restores.
+    /// Retired: always 0, nothing writes it.
     pub prefix_steps_saved: u64,
 }
 
@@ -527,7 +531,7 @@ impl fmt::Display for ReuseStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} warm-arena execs, {} checkpoints taken, {} restored ({} setup steps saved)",
+            "{} warm-arena execs (retired, always 0: {} checkpoints taken, {} restored, {} setup steps saved)",
             self.arena_execs,
             self.checkpoints_taken,
             self.checkpoints_restored,

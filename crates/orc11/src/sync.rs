@@ -23,7 +23,7 @@ pub type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
 
 impl<T> Mutex<T> {
     /// Creates a new mutex holding `value`.
-    pub fn new(value: T) -> Self {
+    pub const fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
 

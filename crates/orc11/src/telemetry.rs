@@ -8,7 +8,7 @@
 //! timeline), this module answers *how far along are we right now*: the
 //! exploration engine and the soak engine publish counters into the
 //! registry as they run — executions completed, DFS frontier depth,
-//! DPOR sleep hits, checkpoint reuse, per-worker load balance, the
+//! DPOR sleep hits, arena reuse, per-worker load balance, the
 //! online state-space [`crate::stats::Estimate`], soak epochs sealed/
 //! checked/shed and the sampling governor — and two read-only consumers
 //! turn the registry into output:
@@ -166,7 +166,7 @@ pub struct Snapshot {
     pub est_total_execs: u64,
     /// Percent of the tree's probability mass visited, ×1000.
     pub percent_x1000: u64,
-    /// Arena/checkpoint reuse counters ([`crate::checkpoint`]).
+    /// Arena reuse counters ([`crate::global_reuse`]).
     pub reuse: ReuseStats,
     /// Per-worker load-balance counters, indexed by worker.
     pub workers: Vec<WorkerStats>,
@@ -182,8 +182,8 @@ pub struct Snapshot {
     pub soak_ops: u64,
 }
 
-/// Reads the whole registry (plus the gauges [`crate::trace`] and
-/// [`crate::checkpoint`] already maintain) into a [`Snapshot`].
+/// Reads the whole registry (plus the gauges [`crate::trace`] already
+/// maintains and [`crate::global_reuse`]) into a [`Snapshot`].
 pub fn snapshot() -> Snapshot {
     let n = WORKER_COUNT.load(Ordering::Relaxed).min(MAX_WORKER_SLOTS);
     let workers = WORKER_SLOTS[..n]
@@ -202,7 +202,7 @@ pub fn snapshot() -> Snapshot {
         est_paths: EST_PATHS.load(Ordering::Relaxed),
         est_total_execs: EST_TOTAL.load(Ordering::Relaxed),
         percent_x1000: EST_PERCENT_X1000.load(Ordering::Relaxed),
-        reuse: crate::checkpoint::global_reuse(),
+        reuse: crate::global_reuse(),
         workers,
         soak_sealed: SOAK_SEALED.load(Ordering::Relaxed),
         soak_checked: SOAK_CHECKED.load(Ordering::Relaxed),
@@ -301,16 +301,6 @@ pub fn render_prometheus(s: &Snapshot) -> String {
         "compass_reuse_arena_execs",
         "Executions run on a warm arena",
         s.reuse.arena_execs.to_string(),
-    );
-    gauge(
-        "compass_reuse_checkpoints_restored",
-        "Executions restored from a prefix checkpoint",
-        s.reuse.checkpoints_restored.to_string(),
-    );
-    gauge(
-        "compass_reuse_prefix_steps_saved",
-        "Setup steps skipped by checkpoint restores",
-        s.reuse.prefix_steps_saved.to_string(),
     );
     gauge(
         "compass_soak_epochs_sealed",

@@ -3,14 +3,18 @@
 //! The engine's contract (see `orc11::parallel`) is that a report is a
 //! deterministic function of the work specification alone — never of the
 //! worker count. These tests pin that end to end: the raw `orc11`
-//! explorer on the store-buffering litmus, and the full `compass`
+//! explorer on the whole litmus gallery, and the full `compass`
 //! checker on a buggy structure, each rendered to JSON at `threads = 1`
 //! and `threads = 4` and compared byte for byte.
+
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use compass::checker::{check_executions_with, CheckOptions, Exploration};
 use compass::queue_spec::check_queue_consistent;
 use compass_repro::structures::buggy::RelaxedMsQueue;
 use compass_repro::structures::queue::ModelQueue;
+use orc11::litmus::{gallery, Litmus};
 use orc11::{
     run_model, BodyFn, Config, Explorer, Json, Loc, Mode, RunOutcome, ThreadCtx, Val, WorkSpec,
 };
@@ -35,34 +39,83 @@ fn sb(strategy: Box<dyn orc11::Strategy>) -> RunOutcome<(i64, i64)> {
     )
 }
 
+/// Explores `t` under `spec` at `threads` workers and renders everything
+/// observable: the outcome histogram and the wall-clock-normalized
+/// exploration report (which already excludes the scheduling-dependent
+/// `reuse` counters from its JSON).
+fn run_litmus<S: Sync + 'static>(t: &Litmus<S>, threads: usize, spec: &WorkSpec) -> String {
+    let histogram: Mutex<BTreeMap<Vec<i64>, u64>> = Mutex::new(BTreeMap::new());
+    let report = Explorer::with_threads(threads).explore(spec, t, |_, out| {
+        if let Ok(o) = &out.result {
+            *histogram.lock().unwrap().entry(o.clone()).or_insert(0) += 1;
+        }
+    });
+    format!(
+        "{:?}\n{}",
+        histogram.lock().unwrap(),
+        report
+            .to_json()
+            .set("phase_ns", orc11::PhaseNs::ZERO.to_json())
+            .render()
+    )
+}
+
+/// A type-erased gallery entry: explores one litmus shape and renders
+/// its observable report.
+type GalleryRunner = Box<dyn Fn(usize, &WorkSpec) -> String>;
+
+/// The full litmus gallery as type-erased runners (the entries carry
+/// different shared-state types).
+fn full_gallery() -> Vec<(&'static str, GalleryRunner)> {
+    macro_rules! entry {
+        ($f:ident) => {
+            (
+                stringify!($f),
+                Box::new(|threads: usize, spec: &WorkSpec| {
+                    run_litmus(&gallery::$f(), threads, spec)
+                }) as GalleryRunner,
+            )
+        };
+    }
+    vec![
+        entry!(mp_rel_acq),
+        entry!(mp_relaxed),
+        entry!(mp_fences),
+        entry!(sb),
+        entry!(sb_sc_fences),
+        entry!(corr),
+        entry!(iriw_acq),
+        entry!(lb),
+        entry!(two_plus_two_w),
+        entry!(cowr),
+        entry!(release_sequence),
+        entry!(rmw_atomicity),
+    ]
+}
+
 #[test]
 fn sb_litmus_reports_are_thread_count_independent() {
-    for spec in [
-        WorkSpec::Random {
-            iters: 400,
-            seed0: 7,
-        },
-        WorkSpec::Pct {
-            iters: 400,
-            seed0: 7,
-            depth: 2,
-            horizon: 16,
-        },
-        WorkSpec::Dfs { budget: 10_000 },
-        WorkSpec::DfsDpor { budget: 10_000 },
-    ] {
-        let norm = |r: &orc11::ExploreReport| {
-            r.to_json()
-                .set("phase_ns", orc11::PhaseNs::ZERO.to_json())
-                .render()
-        };
-        let serial = Explorer::serial().explore(&spec, &sb, |_, _| {});
-        let parallel = Explorer::with_threads(4).explore(&spec, &sb, |_, _| {});
-        assert_eq!(
-            norm(&serial),
-            norm(&parallel),
-            "threads=4 must match serial for {spec:?}"
-        );
+    for (name, run) in full_gallery() {
+        for spec in [
+            WorkSpec::Random {
+                iters: 400,
+                seed0: 7,
+            },
+            WorkSpec::Pct {
+                iters: 400,
+                seed0: 7,
+                depth: 2,
+                horizon: 16,
+            },
+            WorkSpec::Dfs { budget: 10_000 },
+            WorkSpec::DfsDpor { budget: 10_000 },
+        ] {
+            assert_eq!(
+                run(1, &spec),
+                run(4, &spec),
+                "threads=4 must match serial for {name} under {spec:?}"
+            );
+        }
     }
 }
 
