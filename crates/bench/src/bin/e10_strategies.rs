@@ -12,9 +12,9 @@ use compass::queue_spec::check_queue_consistent;
 use compass::Graph;
 use compass_bench::metrics::Metrics;
 use compass_bench::table::Table;
-use compass_structures::buggy::RelaxedHwQueue;
+use compass_structures::buggy::relaxed_hw_queue;
 use compass_structures::deque::ChaseLevDeque;
-use compass_structures::queue::ModelQueue;
+use compass_structures::queue::{HwQueue, ModelQueue};
 use orc11::Json;
 use orc11::{
     run_model, BodyFn, Config, Explorer, Loc, Mode, Model, RunOutcome, Strategy, ThreadCtx, Val,
@@ -57,20 +57,20 @@ fn weak_hw_program(
         &Config::default(),
         strategy,
         |ctx| {
-            let q = RelaxedHwQueue::new(ctx, 4);
+            let q = relaxed_hw_queue(ctx, 4);
             let flag = ctx.alloc("flag", Val::Int(0));
             (q, flag)
         },
         vec![
-            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(RelaxedHwQueue, Loc)| {
+            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(HwQueue, Loc)| {
                 q.enqueue(ctx, Val::Int(10));
                 ctx.write(*flag, Val::Int(1), Mode::Release);
             }) as BodyFn<'_, _, ()>,
-            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(RelaxedHwQueue, Loc)| {
+            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(HwQueue, Loc)| {
                 ctx.read_await(*flag, Mode::Acquire, |v| v == Val::Int(1));
                 q.enqueue(ctx, Val::Int(20));
             }),
-            Box::new(|ctx: &mut ThreadCtx, (q, _): &(RelaxedHwQueue, Loc)| {
+            Box::new(|ctx: &mut ThreadCtx, (q, _): &(HwQueue, Loc)| {
                 q.try_dequeue(ctx);
             }),
         ],

@@ -6,7 +6,7 @@
 //! Model side: exhaustive DFS over the ghost-instrumented clients, with
 //! and without DPOR, at 1 and 4 checker threads. The correct libraries
 //! (`ModelArc`, `ModelTml`) must be violation-free on **every**
-//! execution; the seeded controls (`RelaxedArc` — relaxed decrement, no
+//! execution; the seeded controls (`buggy::relaxed_arc` — relaxed decrement, no
 //! acquire fence; `UnvalidatedTml` — reads skip version validation)
 //! must be convicted of the expected clauses, with identical clause
 //! sets under plain DFS and DPOR and byte-identical DPOR reports across
@@ -40,7 +40,7 @@ use compass_bench::table::Table;
 use compass_native::recorder::seed_from_env;
 use compass_native::{ArcCell, Tml, WeakArcCell, WeakTml};
 use compass_structures::arc::ModelArc;
-use compass_structures::buggy::{RelaxedArc, UnvalidatedTml};
+use compass_structures::buggy::{relaxed_arc, UnvalidatedTml};
 use compass_structures::stm::{Aborted, ModelTml};
 use orc11::{run_model, BodyFn, Config, Json, ThreadCtx, Val};
 
@@ -104,16 +104,16 @@ fn explore_relaxed_arc(dpor: bool, threads: usize) -> CheckReport {
                 &Config::default(),
                 strategy,
                 |ctx| {
-                    let a = RelaxedArc::new(ctx, Val::Int(42));
+                    let a = relaxed_arc(ctx, Val::Int(42));
                     a.clone_ref(ctx);
                     a
                 },
                 vec![
-                    Box::new(|ctx: &mut ThreadCtx, a: &RelaxedArc| {
+                    Box::new(|ctx: &mut ThreadCtx, a: &ModelArc| {
                         a.load(ctx);
                         a.drop_ref(ctx);
                     }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, a: &RelaxedArc| {
+                    Box::new(|ctx: &mut ThreadCtx, a: &ModelArc| {
                         a.load(ctx);
                         a.drop_ref(ctx);
                     }),

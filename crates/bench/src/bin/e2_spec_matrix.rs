@@ -17,7 +17,7 @@
 use compass_bench::metrics::Metrics;
 use compass_bench::table::Table;
 use compass_bench::workloads::queue_spec_stats;
-use compass_structures::buggy::{RelaxedHwQueue, RelaxedMsQueue};
+use compass_structures::buggy::{relaxed_hw_queue, relaxed_ms_queue};
 use compass_structures::queue::{HwQueue, LockQueue, MsQueue};
 use orc11::Json;
 
@@ -74,11 +74,11 @@ fn main() {
     );
     add(
         "buggy: MS all-relaxed",
-        queue_spec_stats(RelaxedMsQueue::new, 0..seeds),
+        queue_spec_stats(relaxed_ms_queue, 0..seeds),
     );
     add(
         "buggy: HW relaxed tail",
-        queue_spec_stats(|ctx| RelaxedHwQueue::new(ctx, 8), 0..seeds),
+        queue_spec_stats(|ctx| relaxed_hw_queue(ctx, 8), 0..seeds),
     );
     println!("{t}");
     println!(

@@ -16,10 +16,10 @@
 //!
 //! The reported recording overhead comes from **A/B epoch
 //! interleaving** inside the recorded segment: a seeded per-epoch coin
-//! flip (see [`recording_epoch`]) decides whether an epoch samples, and
+//! flip (see `recording_epoch`) decides whether an epoch samples, and
 //! the overhead estimate is the median throughput ratio over matched
 //! adjacent opposite-class epoch pairs after transient trimming (see
-//! [`ab_rates`]). Both classes see
+//! `ab_rates`). Both classes see
 //! the identical thread count, checker activity, scheduler regime, and
 //! structure aging, so the difference isolates the recording
 //! instrumentation — a separate unrecorded segment cannot do that on a

@@ -433,7 +433,7 @@ pub fn deque_stats(seeds: std::ops::Range<u64>) -> DequeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use compass_structures::buggy::RelaxedMsQueue;
+    use compass_structures::buggy::relaxed_ms_queue;
     use compass_structures::queue::{HwQueue, MsQueue};
 
     #[test]
@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn relaxed_ms_queue_fails_hb() {
-        let s = queue_spec_stats(RelaxedMsQueue::new, 0..200);
+        let s = queue_spec_stats(relaxed_ms_queue, 0..200);
         assert!(s.lat_hb < s.runs, "buggy queue must fail LAT_hb sometimes");
     }
 

@@ -10,8 +10,8 @@ use compass::bundle;
 use compass::checker::{check_executions_with, CheckOptions, Exploration};
 use compass::queue_spec::{check_queue_consistent, QueueEvent};
 use compass::Graph;
-use compass_structures::buggy::RelaxedHwQueue;
-use compass_structures::queue::ModelQueue;
+use compass_structures::buggy::relaxed_hw_queue;
+use compass_structures::queue::{HwQueue, ModelQueue};
 use orc11::{
     render_ops, run_model, BodyFn, Config, Loc, Mode, RunOutcome, Strategy, ThreadCtx, Val,
 };
@@ -26,20 +26,20 @@ fn program(strategy: Box<dyn Strategy>) -> RunOutcome<Graph<QueueEvent>> {
         },
         strategy,
         |ctx| {
-            let q = RelaxedHwQueue::new(ctx, 4);
+            let q = relaxed_hw_queue(ctx, 4);
             let flag = ctx.alloc("flag", Val::Int(0));
             (q, flag)
         },
         vec![
-            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(RelaxedHwQueue, Loc)| {
+            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(HwQueue, Loc)| {
                 q.enqueue(ctx, Val::Int(10));
                 ctx.write(*flag, Val::Int(1), Mode::Release);
             }) as BodyFn<'_, _, ()>,
-            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(RelaxedHwQueue, Loc)| {
+            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(HwQueue, Loc)| {
                 ctx.read_await(*flag, Mode::Acquire, |v| v == Val::Int(1));
                 q.enqueue(ctx, Val::Int(20));
             }),
-            Box::new(|ctx: &mut ThreadCtx, (q, _): &(RelaxedHwQueue, Loc)| {
+            Box::new(|ctx: &mut ThreadCtx, (q, _): &(HwQueue, Loc)| {
                 q.try_dequeue(ctx);
             }),
         ],

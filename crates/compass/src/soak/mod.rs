@@ -5,7 +5,7 @@
 //! correctness monitoring: mutator threads drive a native structure at
 //! saturation while their sampled op logs are sealed into epochs, each
 //! epoch is assembled into a self-contained history
-//! ([`assemble`]), and a bounded pool of checker threads runs the same
+//! (the `assemble` module), and a bounded pool of checker threads runs the same
 //! staged `CONFORM-*` checks on sealed epochs concurrently with the
 //! live workload.
 //!
@@ -22,7 +22,7 @@
 //!    shed: `epochs_checked + epochs_shed == epochs_sealed` in the
 //!    final [`SoakReport`].
 //! 3. **No false positives.** Epoch slices are faithful sub-histories
-//!    (see [`assemble`] and DESIGN.md §11); anything that cannot be
+//!    (see the `assemble` module and DESIGN.md §11); anything that cannot be
 //!    made faithful is dropped and counted.
 //!
 //! Violating epochs are written as standard re-checkable replay

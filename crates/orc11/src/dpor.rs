@@ -17,7 +17,7 @@
 //!   instructions by different threads ([`conflicts`]) demands a
 //!   *backtrack point*: the scheduling decision that ran the earlier
 //!   instruction must also try the later instruction's thread
-//!   ([`DporState::on_complete`]);
+//!   (`DporState::on_complete`);
 //! * demanded alternatives feed the same shared DFS prefix frontier the
 //!   work-stealing workers drain ([`crate::WorkSource`]); a per-decision
 //!   *sleep set* (the `explored` map) keeps each alternative from being
@@ -130,7 +130,7 @@ pub struct StepAccess {
     /// if any) has a trace index `>= trace_start`, and every choice of
     /// every earlier instruction has a smaller one. This is what lets the
     /// sleep check cut an execution's expansions *from an instruction
-    /// onward* (see [`analyze`]).
+    /// onward* (see `analyze`).
     pub trace_start: u32,
 }
 

@@ -874,7 +874,8 @@ impl ThreadCtx {
         mode: Mode,
         k: impl FnOnce(&OpResult, &mut GhostHandle) -> T,
     ) -> (Val, T) {
-        let (old, _ok, t) = self.update_with(loc, |_| Some(val), mode, mode, k);
+        // The update never fails, so its fail mode is never used.
+        let (old, _ok, t) = self.update_with(loc, |_| Some(val), mode, Mode::Relaxed, k);
         (old, t)
     }
 
@@ -897,11 +898,12 @@ impl ThreadCtx {
         mode: Mode,
         k: impl FnOnce(&OpResult, &mut GhostHandle) -> T,
     ) -> (Val, T) {
+        // The update never fails, so its fail mode is never used.
         let (old, _ok, t) = self.update_with(
             loc,
             |v| Some(Val::Int(v.expect_int() + delta)),
             mode,
-            mode,
+            Mode::Relaxed,
             k,
         );
         (old, t)

@@ -302,7 +302,7 @@ impl fmt::Display for ExploreReport {
 /// `threads == 0` (the default) means *auto*: `COMPASS_THREADS` if set,
 /// else the host's available parallelism (capped; see
 /// [`crate::default_threads`]). The merged report is byte-identical for
-/// every thread count — see [`crate::parallel`] for the guarantee's
+/// every thread count — see the `parallel` module for the guarantee's
 /// exact scope.
 #[derive(Clone, Copy, Debug)]
 pub struct Explorer {

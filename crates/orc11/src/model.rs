@@ -11,8 +11,9 @@
 //! construction — a model is immutable between runs; all run-to-run
 //! nondeterminism lives in the [`Strategy`] — so the same model value can
 //! be driven from N worker threads at once. Plain closures still work
-//! through the blanket impl: any `Fn(Box<dyn Strategy>) -> RunOutcome<R>
-//! + Send + Sync` closure *is* a model.
+//! through the blanket impl: any
+//! `Fn(Box<dyn Strategy>) -> RunOutcome<R> + Send + Sync` closure *is* a
+//! model.
 
 use crate::exec::RunOutcome;
 use crate::sched::Strategy;

@@ -1,8 +1,8 @@
 //! An Arc-style atomic reference counter on the model, with ghost
-//! commit points (ROADMAP item 3; Jacobs & Fasse, arXiv:2505.00449).
+//! commit points (Jacobs & Fasse, arXiv:2505.00449).
 //!
 //! The implementation mirrors `std::sync::Arc`'s protocol with the same
-//! access modes:
+//! access modes, stated once in the Arc's mode table:
 //!
 //! * `clone` — `fetch_add(strong, 1, Relaxed)`: holding a reference
 //!   already keeps the payload alive, no ordering needed;
@@ -13,7 +13,7 @@
 //!   thread with *every* other holder's drop — this is precisely the
 //!   handoff the [`compass::arc_spec`] clauses `ARC-DEALLOC-HB` and
 //!   `ARC-UAF` check, and the handoff the deliberately weakened
-//!   [`crate::buggy::RelaxedArc`] omits;
+//!   [`crate::buggy::relaxed_arc`] omits;
 //! * `downgrade`/`drop_weak` — relaxed increment, release decrement on
 //!   the weak count (the strong references collectively hold one
 //!   implicit weak, released by the final strong drop after the payload
@@ -33,6 +33,46 @@ use compass::arc_spec::ArcEvent;
 use compass::LibObj;
 use orc11::{FenceMode, Loc, Mode, ThreadCtx, Val};
 
+use crate::{alloc, Rmw};
+
+/// The Arc's mode table: the mode (or fence) of each access site, and the
+/// labels of its library object and locations.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ArcModes {
+    pub(crate) obj: &'static str,
+    pub(crate) strong: &'static str,
+    pub(crate) weak: &'static str,
+    pub(crate) payload: &'static str,
+    pub(crate) clone_ref: Mode, // strong increment (read and write)
+    pub(crate) drop_ref: Rmw,
+    pub(crate) drop_fence: Option<FenceMode>, // before reclaiming
+    /// `load` and the reclaiming write. The payload is allocated atomic
+    /// exactly when this mode is atomic.
+    pub(crate) access: Mode,
+    pub(crate) downgrade: Mode, // weak increment (read and write)
+    pub(crate) drop_weak: Rmw,
+    pub(crate) drop_weak_fence: Option<FenceMode>, // after the last one
+    pub(crate) upgrade_read: Mode,                 // `try_upgrade`: read of the count
+    pub(crate) upgrade: Rmw,                       // `try_upgrade`: CAS incrementing it
+}
+
+/// `std::sync::Arc`'s modes (see module docs).
+pub(crate) const PAPER: ArcModes = ArcModes {
+    obj: "arc",
+    strong: "arc.strong",
+    weak: "arc.weak",
+    payload: "arc.payload",
+    clone_ref: Mode::Relaxed,
+    drop_ref: Rmw::new(Mode::Release, Mode::Relaxed),
+    drop_fence: Some(FenceMode::Acquire),
+    access: Mode::NonAtomic,
+    downgrade: Mode::Relaxed,
+    drop_weak: Rmw::new(Mode::Release, Mode::Relaxed),
+    drop_weak_fence: Some(FenceMode::Acquire),
+    upgrade_read: Mode::Relaxed,
+    upgrade: Rmw::new(Mode::Acquire, Mode::Relaxed),
+};
+
 /// The model Arc (see module docs).
 #[derive(Debug)]
 pub struct ModelArc {
@@ -40,17 +80,24 @@ pub struct ModelArc {
     weak: Loc,
     payload: Loc,
     obj: LibObj<ArcEvent>,
+    m: ArcModes,
 }
 
 impl ModelArc {
     /// Allocates a counter with one strong reference (and the implicit
     /// weak the strong references collectively hold) guarding `payload`.
     pub fn new(ctx: &mut ThreadCtx, payload: Val) -> Self {
+        Self::with_modes(ctx, payload, PAPER)
+    }
+
+    /// [`ModelArc::new`] with the access modes of `m`.
+    pub(crate) fn with_modes(ctx: &mut ThreadCtx, payload: Val, m: ArcModes) -> Self {
         ModelArc {
-            strong: ctx.alloc_atomic("arc.strong", Val::Int(1)),
-            weak: ctx.alloc_atomic("arc.weak", Val::Int(1)),
-            payload: ctx.alloc("arc.payload", payload),
-            obj: LibObj::new("arc"),
+            strong: ctx.alloc_atomic(m.strong, Val::Int(1)),
+            weak: ctx.alloc_atomic(m.weak, Val::Int(1)),
+            payload: alloc(ctx, m.access.is_atomic(), m.payload, &[payload]),
+            obj: LibObj::new(m.obj),
+            m,
         }
     }
 
@@ -61,7 +108,7 @@ impl ModelArc {
 
     /// Clones a strong reference the caller holds.
     pub fn clone_ref(&self, ctx: &mut ThreadCtx) {
-        ctx.fetch_add_with(self.strong, 1, Mode::Relaxed, |r, gh| {
+        ctx.fetch_add_with(self.strong, 1, self.m.clone_ref, |r, gh| {
             self.obj.commit(
                 gh,
                 ArcEvent::Clone {
@@ -75,7 +122,7 @@ impl ModelArc {
     /// Non-atomic: legality is exactly what the counter protocol (and the
     /// race detector) must guarantee.
     pub fn load(&self, ctx: &mut ThreadCtx) -> Val {
-        ctx.read(self.payload, Mode::NonAtomic)
+        ctx.read(self.payload, self.m.access)
     }
 
     /// Drops a strong reference the caller holds. The thread whose
@@ -86,8 +133,8 @@ impl ModelArc {
         let (old, _, _) = ctx.update_with(
             self.strong,
             |v| Some(Val::Int(v.expect_int() - 1)),
-            Mode::Release,
-            Mode::Relaxed,
+            self.m.drop_ref.ok,
+            self.m.drop_ref.fail,
             |r, gh| {
                 let old = r.old.expect_int();
                 if old == 1 {
@@ -100,8 +147,10 @@ impl ModelArc {
         if old != Val::Int(1) {
             return false;
         }
-        ctx.fence(FenceMode::Acquire);
-        ctx.write_with(self.payload, Val::Null, Mode::NonAtomic, |gh| {
+        if let Some(f) = self.m.drop_fence {
+            ctx.fence(f);
+        }
+        ctx.write_with(self.payload, Val::Null, self.m.access, |gh| {
             self.obj.commit(gh, ArcEvent::Dealloc)
         });
         self.drop_weak(ctx);
@@ -110,7 +159,7 @@ impl ModelArc {
 
     /// Creates a weak reference (the caller holds a strong or weak one).
     pub fn downgrade(&self, ctx: &mut ThreadCtx) {
-        ctx.fetch_add_with(self.weak, 1, Mode::Relaxed, |r, gh| {
+        ctx.fetch_add_with(self.weak, 1, self.m.downgrade, |r, gh| {
             self.obj.commit(
                 gh,
                 ArcEvent::WeakClone {
@@ -125,8 +174,8 @@ impl ModelArc {
         let (old, _, _) = ctx.update_with(
             self.weak,
             |v| Some(Val::Int(v.expect_int() - 1)),
-            Mode::Release,
-            Mode::Relaxed,
+            self.m.drop_weak.ok,
+            self.m.drop_weak.fail,
             |r, gh| {
                 self.obj.commit(
                     gh,
@@ -138,7 +187,9 @@ impl ModelArc {
         );
         if old == Val::Int(1) {
             // Last weak: the control block would be reclaimed here.
-            ctx.fence(FenceMode::Acquire);
+            if let Some(f) = self.m.drop_weak_fence {
+                ctx.fence(f);
+            }
         }
     }
 
@@ -146,7 +197,7 @@ impl ModelArc {
     /// one. Returns `false` once the strong count has hit zero.
     pub fn try_upgrade(&self, ctx: &mut ThreadCtx) -> bool {
         loop {
-            let (n, failed) = ctx.read_with(self.strong, Mode::Relaxed, |v, gh| {
+            let (n, failed) = ctx.read_with(self.strong, self.m.upgrade_read, |v, gh| {
                 (v == Val::Int(0)).then(|| self.obj.commit(gh, ArcEvent::UpgradeFail))
             });
             if failed.is_some() {
@@ -157,8 +208,8 @@ impl ModelArc {
                 self.strong,
                 n,
                 Val::Int(old + 1),
-                Mode::Acquire,
-                Mode::Relaxed,
+                self.m.upgrade.ok,
+                self.m.upgrade.fail,
                 |r, gh| {
                     r.new
                         .is_some()

@@ -1,246 +1,155 @@
 //! Deliberately weakened implementations — negative tests for the
 //! checkers.
 //!
-//! Each variant removes synchronization the paper's proofs rely on, and
-//! each has a consistency clause that catches it on explored executions:
+//! Each control removes synchronization the paper's proofs rely on, or
+//! breaks the algorithm, and a consistency clause catches it. The
+//! memory-model controls are not separate structures: each is the paper's
+//! structure built from a weaker mode table (a named constant here), so a
+//! fix to a structure reaches its control. The counts are from the
+//! exhaustive plain-DFS pins in `tests/control_pins.rs`; the two
+//! algorithmic bugs are caught by the random-schedule tests below.
 //!
-//! | Variant | Weakening | Caught by |
+//! | Control | Weakening | Caught by |
 //! |---|---|---|
-//! | [`RelaxedMsQueue`] | all atomics relaxed | `QUEUE-SO-LHB` (a dequeue no longer happens-after its enqueue) |
-//! | [`RelaxedHwQueue`] | tail FAA / tail read relaxed | `QUEUE-FIFO` (a dequeuer can miss an older, externally-ordered enqueue) |
-//! | [`RelaxedTreiber`] | all atomics relaxed | `STACK-SO-LHB` and friends |
+//! | [`relaxed_ms_queue`] | every access relaxed | `QUEUE-SO-LHB` on 4 796 of 5 769 MP executions (a dequeue no longer happens-after its enqueue) |
+//! | [`relaxed_hw_queue`] | slot-reserving FAA and the dequeuer's tail read relaxed | `QUEUE-FIFO` on 120 of 745 MP executions (a dequeuer can miss an older, externally ordered enqueue) |
+//! | [`relaxed_treiber`] | every access relaxed | `STACK-SO-LHB` on 5 493 of 8 046 `(push; pop) ∥ push` executions |
+//! | [`relaxed_arc`] | relaxed strong decrement, no acquire fence before reclaiming | `ARC-UAF` on all 6 `clone; (load; drop) ∥ (load; drop)` executions (the deallocator does not happen-after the other holder's drop) |
+//! | [`UnvalidatedTml`] | transactional reads skip the version validation | `STM-RO` on 437 of 1 203 writer ∥ reader executions (a doomed reader returns a torn snapshot) |
 //! | [`SplitExchanger`] | helper commits the pair in two instructions | `EXCHANGER-ATOMIC-PAIRS` (observable intermediate state) |
 //! | [`QueueAsStack`] | delivers in FIFO order (perfectly synchronized!) | `STACK-LIFO` — a pure ordering bug, no memory-model defect at all |
-//! | [`RelaxedArc`] | relaxed decrement, no acquire fence before dealloc | `ARC-UAF` (the deallocator does not happen-after the other holders' drops) |
-//! | [`UnvalidatedTml`] | transactional reads skip the version validation | `STM-RO` / `STM-ABORT` (a doomed transaction observes a torn snapshot) |
 
 use orc11::sync::Mutex;
 use std::collections::HashMap;
+use std::ops::Deref;
 
-use compass::arc_spec::ArcEvent;
 use compass::exchanger_spec::ExchangeEvent;
-use compass::queue_spec::QueueEvent;
 use compass::stack_spec::StackEvent;
-use compass::stm_spec::StmEvent;
 use compass::{EventId, LibObj};
 use orc11::{Loc, Mode, ThreadCtx, Val};
 
-use crate::check_element;
-use crate::queue::{HwQueue, ModelQueue};
-use crate::stm::Aborted;
+use crate::arc::{self, ArcModes, ModelArc};
+use crate::queue::hw::{self, HwModes};
+use crate::queue::ms::MsModes;
+use crate::queue::{HwQueue, MsQueue};
+use crate::stack::treiber::TreiberModes;
+use crate::stack::TreiberStack;
+use crate::stm::{self, ModelTml, TmlModes, TmlTxn};
+use crate::{check_element, Rmw};
 
 const VAL: u32 = 0;
 const NEXT: u32 = 1;
 const RESP: u32 = 1;
 
-/// A Michael-Scott queue with **all atomics relaxed** (node fields are
-/// atomic so the weakening shows up as spec violations, not data races).
+const RLX: Rmw = Rmw::new(Mode::Relaxed, Mode::Relaxed);
+
+const RELAXED_MS_QUEUE: MsModes = MsModes {
+    obj: "relaxed-ms-queue",
+    sentinel: "rms.sentinel",
+    head: "rms.head",
+    tail: "rms.tail",
+    node: "rms.node",
+    enq_tail: Mode::Relaxed,
+    enq_next: Mode::Relaxed,
+    help: RLX,
+    link: RLX,
+    swing: RLX,
+    deq_head: Mode::Relaxed,
+    deq_next: Mode::Relaxed,
+    val: Mode::Relaxed,
+    deq: RLX,
+};
+
+const RELAXED_HW_QUEUE: HwModes = HwModes {
+    reserve: Mode::Relaxed,
+    scan_tail: Mode::Relaxed,
+    ..hw::PAPER
+};
+
+const RELAXED_TREIBER: TreiberModes = TreiberModes {
+    obj: "relaxed-treiber",
+    head: "rtreiber.head",
+    node: "rtreiber.node",
+    push_head: Mode::Relaxed,
+    push: RLX,
+    pop_head: Mode::Relaxed,
+    pop: RLX,
+    fields: Mode::Relaxed,
+};
+
+const RELAXED_ARC: ArcModes = ArcModes {
+    obj: "relaxed-arc",
+    strong: "rarc.strong",
+    weak: "rarc.weak",
+    payload: "rarc.payload",
+    drop_ref: RLX,
+    drop_fence: None,
+    access: Mode::Relaxed,
+    ..arc::PAPER
+};
+
+const UNVALIDATED_TML: TmlModes = TmlModes {
+    obj: "unvalidated-tml",
+    glb: "utml.glb",
+    data: "utml.data",
+    validate: false,
+    ..stm::PAPER
+};
+
+/// A Michael-Scott queue with every access relaxed. Its nodes are atomic,
+/// so the weakening shows up as spec violations, not data races.
+pub fn relaxed_ms_queue(ctx: &mut ThreadCtx) -> MsQueue {
+    MsQueue::with_modes(ctx, RELAXED_MS_QUEUE)
+}
+
+/// A Herlihy-Wing queue of the given capacity whose slot reservation and
+/// tail read are relaxed: a dequeuer's scan range no longer synchronizes
+/// with earlier enqueues, so it can skip an older (externally
+/// hb-ordered) enqueue's slot.
+pub fn relaxed_hw_queue(ctx: &mut ThreadCtx, capacity: u32) -> HwQueue {
+    HwQueue::with_modes(ctx, capacity, RELAXED_HW_QUEUE)
+}
+
+/// A Treiber stack with every access relaxed (and atomic nodes).
+pub fn relaxed_treiber(ctx: &mut ThreadCtx) -> TreiberStack {
+    TreiberStack::with_modes(ctx, RELAXED_TREIBER)
+}
+
+/// An Arc guarding `payload` whose strong decrement is relaxed and that
+/// reclaims without the acquire fence — the classic early-free bug that
+/// Jacobs & Fasse's proof obligation on the drop path rules out. The
+/// payload is atomic, so the defect surfaces as `ARC-UAF`, not a race.
+pub fn relaxed_arc(ctx: &mut ThreadCtx, payload: Val) -> ModelArc {
+    ModelArc::with_modes(ctx, payload, RELAXED_ARC)
+}
+
+/// A TML whose transactional reads **skip the version validation**: every
+/// read takes the validated TML's locked-read path, one acquire read of
+/// the key, with no re-read of the global version. A transaction
+/// overlapping a writer then returns a torn snapshot. `begin`, `write`
+/// and `commit` are the validated TML's (through `Deref`).
 #[derive(Debug)]
-pub struct RelaxedMsQueue {
-    head: Loc,
-    tail: Loc,
-    obj: LibObj<QueueEvent>,
-    enq_events: Mutex<HashMap<Loc, EventId>>,
-}
+pub struct UnvalidatedTml(ModelTml);
 
-impl RelaxedMsQueue {
-    /// Allocates an empty queue.
-    pub fn new(ctx: &mut ThreadCtx) -> Self {
-        let sentinel = ctx.alloc_block_atomic("rms.sentinel", &[Val::Null, Val::Null]);
-        RelaxedMsQueue {
-            head: ctx.alloc_atomic("rms.head", Val::Loc(sentinel)),
-            tail: ctx.alloc_atomic("rms.tail", Val::Loc(sentinel)),
-            obj: LibObj::new("relaxed-ms-queue"),
-            enq_events: Mutex::new(HashMap::new()),
-        }
+impl UnvalidatedTml {
+    /// Allocates a TM with `n_keys` transactional locations, all `0`.
+    pub fn new(ctx: &mut ThreadCtx, n_keys: usize) -> Self {
+        UnvalidatedTml(ModelTml::with_modes(ctx, n_keys, UNVALIDATED_TML))
+    }
+
+    /// Transactional read. BUG: no validation — the read always
+    /// "succeeds", even when a writer has since locked the store.
+    pub fn read(&self, ctx: &mut ThreadCtx, txn: &mut TmlTxn, key: usize) -> Val {
+        let v = self.0.read(ctx, txn, key);
+        v.expect("unvalidated reads cannot abort")
     }
 }
 
-impl ModelQueue for RelaxedMsQueue {
-    fn enqueue(&self, ctx: &mut ThreadCtx, v: Val) -> EventId {
-        check_element(v);
-        let node = ctx.alloc_block_atomic("rms.node", &[v, Val::Null]);
-        loop {
-            let tail = ctx.read(self.tail, Mode::Relaxed).expect_loc();
-            let next = ctx.read(tail.field(NEXT), Mode::Relaxed);
-            if let Some(succ) = next.as_loc() {
-                let _ = ctx.cas(
-                    self.tail,
-                    Val::Loc(tail),
-                    Val::Loc(succ),
-                    Mode::Relaxed,
-                    Mode::Relaxed,
-                );
-                continue;
-            }
-            let (res, ev) = ctx.cas_with(
-                tail.field(NEXT),
-                Val::Null,
-                Val::Loc(node),
-                Mode::Relaxed,
-                Mode::Relaxed,
-                |r, gh| {
-                    r.new.is_some().then(|| {
-                        let id = self.obj.commit(gh, QueueEvent::Enq(v));
-                        self.enq_events.lock().insert(node, id);
-                        id
-                    })
-                },
-            );
-            if res.is_ok() {
-                let _ = ctx.cas(
-                    self.tail,
-                    Val::Loc(tail),
-                    Val::Loc(node),
-                    Mode::Relaxed,
-                    Mode::Relaxed,
-                );
-                return ev.expect("committed");
-            }
-        }
-    }
+impl Deref for UnvalidatedTml {
+    type Target = ModelTml;
 
-    fn try_dequeue(&self, ctx: &mut ThreadCtx) -> (Option<Val>, EventId) {
-        loop {
-            let head = ctx.read(self.head, Mode::Relaxed).expect_loc();
-            let (next, emp) = ctx.read_with(head.field(NEXT), Mode::Relaxed, |v, gh| {
-                v.is_null().then(|| self.obj.commit(gh, QueueEvent::EmpDeq))
-            });
-            if let Some(ev) = emp {
-                return (None, ev);
-            }
-            let node = next.expect_loc();
-            let v = ctx.read(node.field(VAL), Mode::Relaxed);
-            let source = *self.enq_events.lock().get(&node).expect("published node");
-            let (res, ev) = ctx.cas_with(
-                self.head,
-                Val::Loc(head),
-                Val::Loc(node),
-                Mode::Relaxed,
-                Mode::Relaxed,
-                |r, gh| {
-                    r.new
-                        .is_some()
-                        .then(|| self.obj.commit_matched(gh, QueueEvent::Deq(v), source))
-                },
-            );
-            if res.is_ok() {
-                return (Some(v), ev.expect("committed"));
-            }
-        }
-    }
-
-    fn obj(&self) -> &LibObj<QueueEvent> {
-        &self.obj
-    }
-}
-
-/// A Herlihy-Wing queue whose tail operations are relaxed: the dequeuer's
-/// scan range no longer synchronizes with earlier enqueues, so it can skip
-/// an older (externally hb-ordered) enqueue's slot — a QUEUE-FIFO
-/// violation.
-#[derive(Debug)]
-pub struct RelaxedHwQueue(HwQueue);
-
-impl RelaxedHwQueue {
-    /// Allocates an empty queue of the given capacity.
-    pub fn new(ctx: &mut ThreadCtx, capacity: u32) -> Self {
-        RelaxedHwQueue(HwQueue::with_tail_modes(
-            ctx,
-            capacity,
-            Mode::Relaxed,
-            Mode::Relaxed,
-        ))
-    }
-}
-
-impl ModelQueue for RelaxedHwQueue {
-    fn enqueue(&self, ctx: &mut ThreadCtx, v: Val) -> EventId {
-        self.0.enqueue(ctx, v)
-    }
-
-    fn try_dequeue(&self, ctx: &mut ThreadCtx) -> (Option<Val>, EventId) {
-        self.0.try_dequeue(ctx)
-    }
-
-    fn obj(&self) -> &LibObj<QueueEvent> {
-        self.0.obj()
-    }
-}
-
-/// A Treiber stack with **all atomics relaxed**.
-#[derive(Debug)]
-pub struct RelaxedTreiber {
-    head: Loc,
-    obj: LibObj<StackEvent>,
-    push_events: Mutex<HashMap<Loc, EventId>>,
-}
-
-impl RelaxedTreiber {
-    /// Allocates an empty stack.
-    pub fn new(ctx: &mut ThreadCtx) -> Self {
-        RelaxedTreiber {
-            head: ctx.alloc_atomic("rtreiber.head", Val::Null),
-            obj: LibObj::new("relaxed-treiber"),
-            push_events: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Pushes `v` (relaxed CAS — no release).
-    pub fn push(&self, ctx: &mut ThreadCtx, v: Val) -> EventId {
-        check_element(v);
-        let node = ctx.alloc_block_atomic("rtreiber.node", &[v, Val::Null]);
-        loop {
-            let h = ctx.read(self.head, Mode::Relaxed);
-            ctx.write(node.field(NEXT), h, Mode::Relaxed);
-            let (res, ev) = ctx.cas_with(
-                self.head,
-                h,
-                Val::Loc(node),
-                Mode::Relaxed,
-                Mode::Relaxed,
-                |r, gh| {
-                    r.new.is_some().then(|| {
-                        let id = self.obj.commit(gh, StackEvent::Push(v));
-                        self.push_events.lock().insert(node, id);
-                        id
-                    })
-                },
-            );
-            if res.is_ok() {
-                return ev.expect("committed");
-            }
-        }
-    }
-
-    /// Attempts one pop (relaxed CAS — no acquire).
-    pub fn try_pop(&self, ctx: &mut ThreadCtx) -> (Option<Val>, EventId) {
-        loop {
-            let (h, emp) = ctx.read_with(self.head, Mode::Relaxed, |v, gh| {
-                v.is_null().then(|| self.obj.commit(gh, StackEvent::EmpPop))
-            });
-            if let Some(ev) = emp {
-                return (None, ev);
-            }
-            let node = h.expect_loc();
-            let v = ctx.read(node.field(VAL), Mode::Relaxed);
-            let next = ctx.read(node.field(NEXT), Mode::Relaxed);
-            let source = *self.push_events.lock().get(&node).expect("published node");
-            let (res, ev) =
-                ctx.cas_with(self.head, h, next, Mode::Relaxed, Mode::Relaxed, |r, gh| {
-                    r.new
-                        .is_some()
-                        .then(|| self.obj.commit_matched(gh, StackEvent::Pop(v), source))
-                });
-            if res.is_ok() {
-                return (Some(v), ev.expect("committed"));
-            }
-        }
-    }
-
-    /// The stack's library object.
-    pub fn obj(&self) -> &LibObj<StackEvent> {
-        &self.obj
+    fn deref(&self) -> &ModelTml {
+        &self.0
     }
 }
 
@@ -389,6 +298,9 @@ mod tests {
     use compass::stack_spec::check_stack_consistent;
     use orc11::{random_strategy, run_model, BodyFn, Config};
 
+    use crate::queue::ModelQueue;
+    use crate::stack::ModelStack;
+
     #[test]
     fn relaxed_ms_queue_violates_so_lhb() {
         let mut rules = std::collections::BTreeSet::new();
@@ -396,12 +308,12 @@ mod tests {
             let out = run_model(
                 &Config::default(),
                 random_strategy(seed),
-                RelaxedMsQueue::new,
+                relaxed_ms_queue,
                 vec![
-                    Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                         q.enqueue(ctx, Val::Int(1));
                     }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                         q.try_dequeue(ctx);
                     }),
                 ],
@@ -425,20 +337,20 @@ mod tests {
                 &Config::default(),
                 random_strategy(seed),
                 |ctx| {
-                    let q = RelaxedHwQueue::new(ctx, 4);
+                    let q = relaxed_hw_queue(ctx, 4);
                     let flag = ctx.alloc("flag", Val::Int(0));
                     (q, flag)
                 },
                 vec![
-                    Box::new(|ctx: &mut ThreadCtx, (q, flag): &(RelaxedHwQueue, Loc)| {
+                    Box::new(|ctx: &mut ThreadCtx, (q, flag): &(HwQueue, Loc)| {
                         q.enqueue(ctx, Val::Int(10));
                         ctx.write(*flag, Val::Int(1), Mode::Release);
                     }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, (q, flag): &(RelaxedHwQueue, Loc)| {
+                    Box::new(|ctx: &mut ThreadCtx, (q, flag): &(HwQueue, Loc)| {
                         ctx.read_await(*flag, Mode::Acquire, |v| v == Val::Int(1));
                         q.enqueue(ctx, Val::Int(20));
                     }),
-                    Box::new(|ctx: &mut ThreadCtx, (q, _): &(RelaxedHwQueue, Loc)| {
+                    Box::new(|ctx: &mut ThreadCtx, (q, _): &(HwQueue, Loc)| {
                         q.try_dequeue(ctx);
                     }),
                 ],
@@ -494,13 +406,13 @@ mod tests {
             let out = run_model(
                 &Config::default(),
                 random_strategy(seed),
-                RelaxedTreiber::new,
+                relaxed_treiber,
                 vec![
-                    Box::new(|ctx: &mut ThreadCtx, s: &RelaxedTreiber| {
+                    Box::new(|ctx: &mut ThreadCtx, s: &TreiberStack| {
                         s.push(ctx, Val::Int(1));
                     }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, s: &RelaxedTreiber| {
-                        s.try_pop(ctx);
+                    Box::new(|ctx: &mut ThreadCtx, s: &TreiberStack| {
+                        s.pop(ctx);
                     }),
                 ],
                 |_, s, _| check_stack_consistent(&s.obj().snapshot()).err(),
@@ -610,209 +522,6 @@ impl QueueAsStack {
     }
 }
 
-/// An Arc whose strong decrement is **relaxed** and that deallocates
-/// without the acquire fence: the classic early-free bug (the exact
-/// weakening Jacobs & Fasse's proof obligation on the drop path rules
-/// out). The payload is an atomic (relaxed) location so the defect
-/// surfaces as an `ARC-UAF` spec violation rather than a race panic.
-#[derive(Debug)]
-pub struct RelaxedArc {
-    strong: Loc,
-    payload: Loc,
-    obj: LibObj<ArcEvent>,
-}
-
-impl RelaxedArc {
-    /// Allocates a counter with one strong reference guarding `payload`.
-    pub fn new(ctx: &mut ThreadCtx, payload: Val) -> Self {
-        RelaxedArc {
-            strong: ctx.alloc_atomic("rarc.strong", Val::Int(1)),
-            payload: ctx.alloc_atomic("rarc.payload", payload),
-            obj: LibObj::new("relaxed-arc"),
-        }
-    }
-
-    /// The library object.
-    pub fn obj(&self) -> &LibObj<ArcEvent> {
-        &self.obj
-    }
-
-    /// Clones a strong reference (relaxed — same as the correct Arc).
-    pub fn clone_ref(&self, ctx: &mut ThreadCtx) {
-        ctx.fetch_add_with(self.strong, 1, Mode::Relaxed, |r, gh| {
-            self.obj.commit(
-                gh,
-                ArcEvent::Clone {
-                    old: r.old.expect_int(),
-                },
-            )
-        });
-    }
-
-    /// Reads the payload (relaxed).
-    pub fn load(&self, ctx: &mut ThreadCtx) -> Val {
-        ctx.read(self.payload, Mode::Relaxed)
-    }
-
-    /// Drops a strong reference. BUG: the decrement is relaxed and there
-    /// is no acquire fence, so the deallocating thread does not
-    /// happen-after the other holders' drops (or their payload
-    /// accesses). Returns `true` if this call deallocated.
-    pub fn drop_ref(&self, ctx: &mut ThreadCtx) -> bool {
-        let (old, _) = ctx.fetch_add_with(self.strong, -1, Mode::Relaxed, |r, gh| {
-            let old = r.old.expect_int();
-            if old == 1 {
-                self.obj.commit(gh, ArcEvent::DropLast)
-            } else {
-                self.obj.commit(gh, ArcEvent::Drop { old })
-            }
-        });
-        if old != Val::Int(1) {
-            return false;
-        }
-        ctx.write_with(self.payload, Val::Null, Mode::Relaxed, |gh| {
-            self.obj.commit(gh, ArcEvent::Dealloc)
-        });
-        true
-    }
-}
-
-/// A TML whose transactional reads **skip the version validation**: the
-/// read commits at the key's acquire read itself, with no re-read of the
-/// global version. A transaction overlapping a writer then returns a
-/// torn snapshot — exactly the opacity requirement on doomed
-/// transactions (`STM-RO` / `STM-ABORT`) exists to rule out.
-#[derive(Debug)]
-pub struct UnvalidatedTml {
-    glb: Loc,
-    data: Vec<Loc>,
-    obj: LibObj<StmEvent>,
-}
-
-/// A live [`UnvalidatedTml`] transaction handle.
-#[derive(Debug)]
-pub struct UnvalidatedTxn {
-    tx: i64,
-    ver: i64,
-    locked: bool,
-}
-
-impl UnvalidatedTml {
-    /// Allocates a TM with `n_keys` transactional locations, all `0`.
-    pub fn new(ctx: &mut ThreadCtx, n_keys: usize) -> Self {
-        UnvalidatedTml {
-            glb: ctx.alloc_atomic("utml.glb", Val::Int(0)),
-            data: (0..n_keys)
-                .map(|k| ctx.alloc_atomic(&format!("utml.data{k}"), Val::Int(0)))
-                .collect(),
-            obj: LibObj::new("unvalidated-tml"),
-        }
-    }
-
-    /// The library object.
-    pub fn obj(&self) -> &LibObj<StmEvent> {
-        &self.obj
-    }
-
-    /// Starts transaction `tx`: waits for an even version.
-    pub fn begin(&self, ctx: &mut ThreadCtx, tx: i64) -> UnvalidatedTxn {
-        let (v, _) = ctx.read_await_with(
-            self.glb,
-            Mode::Acquire,
-            |v| v.expect_int() % 2 == 0,
-            |v, gh| {
-                self.obj.commit(
-                    gh,
-                    StmEvent::Begin {
-                        tx,
-                        ver: v.expect_int(),
-                    },
-                )
-            },
-        );
-        UnvalidatedTxn {
-            tx,
-            ver: v.expect_int(),
-            locked: false,
-        }
-    }
-
-    /// Transactional read. BUG: no validation — the read always
-    /// "succeeds", even when a writer has since locked the store.
-    pub fn read(&self, ctx: &mut ThreadCtx, txn: &mut UnvalidatedTxn, key: usize) -> Val {
-        let tx = txn.tx;
-        let (v, _) = ctx.read_with(self.data[key], Mode::Acquire, |v, gh| {
-            self.obj.commit(
-                gh,
-                StmEvent::Read {
-                    tx,
-                    key: key as i64,
-                    v,
-                },
-            )
-        });
-        v
-    }
-
-    /// Transactional write; the first write still takes the lock
-    /// correctly (the seeded bug is only in the read path).
-    pub fn write(
-        &self,
-        ctx: &mut ThreadCtx,
-        txn: &mut UnvalidatedTxn,
-        key: usize,
-        v: Val,
-    ) -> Result<(), Aborted> {
-        let tx = txn.tx;
-        if !txn.locked {
-            let ver = txn.ver;
-            let (res, _) = ctx.cas_with(
-                self.glb,
-                Val::Int(ver),
-                Val::Int(ver + 1),
-                Mode::AcqRel,
-                Mode::Relaxed,
-                |r, gh| {
-                    if r.new.is_none() {
-                        self.obj.commit(gh, StmEvent::Abort { tx });
-                    }
-                },
-            );
-            if res.is_err() {
-                return Err(Aborted);
-            }
-            txn.locked = true;
-        }
-        ctx.write_with(self.data[key], v, Mode::Release, |gh| {
-            self.obj.commit(
-                gh,
-                StmEvent::Write {
-                    tx,
-                    key: key as i64,
-                    v,
-                },
-            )
-        });
-        Ok(())
-    }
-
-    /// Commits the transaction (same protocol as the correct TML).
-    pub fn commit(&self, ctx: &mut ThreadCtx, txn: UnvalidatedTxn) {
-        let tx = txn.tx;
-        if txn.locked {
-            let ver = txn.ver + 2;
-            ctx.write_with(self.glb, Val::Int(ver), Mode::Release, |gh| {
-                self.obj.commit(gh, StmEvent::Commit { tx, ver })
-            });
-        } else {
-            let ver = txn.ver;
-            ctx.read_with(self.glb, Mode::Acquire, |_, gh| {
-                self.obj.commit(gh, StmEvent::Commit { tx, ver })
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod refcount_stm_tests {
     use super::*;
@@ -828,16 +537,16 @@ mod refcount_stm_tests {
                 &Config::default(),
                 random_strategy(seed),
                 |ctx| {
-                    let a = RelaxedArc::new(ctx, Val::Int(42));
+                    let a = relaxed_arc(ctx, Val::Int(42));
                     a.clone_ref(ctx);
                     a
                 },
                 vec![
-                    Box::new(|ctx: &mut ThreadCtx, a: &RelaxedArc| {
+                    Box::new(|ctx: &mut ThreadCtx, a: &ModelArc| {
                         a.load(ctx);
                         a.drop_ref(ctx);
                     }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, a: &RelaxedArc| {
+                    Box::new(|ctx: &mut ThreadCtx, a: &ModelArc| {
                         a.load(ctx);
                         a.drop_ref(ctx);
                     }),

@@ -180,7 +180,7 @@ pub fn check_spsc(res: &SpscResult, n: usize) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buggy::RelaxedMsQueue;
+    use crate::buggy::relaxed_ms_queue;
     use crate::queue::HwQueue;
     use orc11::random_strategy;
 
@@ -228,7 +228,7 @@ mod tests {
         // interleaving, even with the release flag.
         let mut failures = 0;
         for seed in 0..300 {
-            let out = run_mp(RelaxedMsQueue::new, true, random_strategy(seed));
+            let out = run_mp(relaxed_ms_queue, true, random_strategy(seed));
             let res = out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             if check_mp(&res, true).is_err() {
                 failures += 1;

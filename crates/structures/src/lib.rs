@@ -28,8 +28,17 @@
 //! * [`stm::ModelTml`] — a release-acquire transactional mutex lock
 //!   checked for opacity by [`compass::stm_spec`] (Dalvandi & Dongol,
 //!   arXiv:2208.00315),
-//! * [`buggy`] — deliberately weakened variants whose executions violate
+//! * [`buggy`] — deliberately weakened controls whose executions violate
 //!   specific consistency clauses (negative tests for the checkers).
+//!
+//! The Michael-Scott and Herlihy-Wing queues, the Treiber stack, the Arc
+//! and the TML each state their access modes once, in a crate-private
+//! *mode table*: one mode (or fence) per atomic access site, counting an
+//! RMW's success and failure modes separately, plus the labels the
+//! structure allocates under. `new` uses the paper's table; the
+//! memory-model controls in [`buggy`] are the same structures built from
+//! weaker tables, and a test-only sweep weakens each site of each paper
+//! table one step to see which ones the specs need (EXPERIMENTS.md).
 //!
 //! [`clients`] contains the paper's client programs (the Message-Passing
 //! client of Figure 1/3 and the SPSC client of §3.2) as reusable model
@@ -48,7 +57,10 @@ pub mod queue;
 pub mod stack;
 pub mod stm;
 
-use orc11::Val;
+#[cfg(test)]
+mod sweep;
+
+use orc11::{Loc, Mode, ThreadCtx, Val};
 
 /// Sentinel marking a "pop" offer in the elimination machinery (§4.1).
 /// Client values must differ from it.
@@ -67,6 +79,34 @@ pub fn check_element(v: Val) {
     assert!(!v.is_null(), "Null is not a valid element");
     assert_ne!(v, SENTINEL, "SENTINEL is reserved");
     assert_ne!(v, TAKEN, "TAKEN is reserved");
+}
+
+/// The two modes of one read-modify-write site in a mode table: `ok`
+/// for a successful update, `fail` for the read of a failed one.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Rmw {
+    pub(crate) ok: Mode,
+    pub(crate) fail: Mode,
+}
+
+impl Rmw {
+    // A constructor, not a struct literal: rustfmt spreads a nested
+    // struct literal over four lines, and the tables have fifteen.
+    pub(crate) const fn new(ok: Mode, fail: Mode) -> Self {
+        Rmw { ok, fail }
+    }
+}
+
+/// Allocates a record whose initializing writes are atomic iff `atomic`.
+/// Mode tables derive `atomic` from their payload site, so that a
+/// non-atomic payload stays under the race detector and an atomic one
+/// cannot race with its initialization.
+pub(crate) fn alloc(ctx: &mut ThreadCtx, atomic: bool, name: &str, inits: &[Val]) -> Loc {
+    if atomic {
+        ctx.alloc_block_atomic(name, inits)
+    } else {
+        ctx.alloc_block(name, inits)
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,34 @@ use compass::{EventId, LibObj};
 use orc11::{Loc, Mode, ThreadCtx, Val};
 
 use super::ModelQueue;
-use crate::{check_element, TAKEN};
+use crate::{check_element, Rmw, TAKEN};
+
+/// The queue's mode table: the mode of each access site (its locations
+/// are all atomic).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct HwModes {
+    pub(crate) reserve: Mode,   // enqueue: FAA on `tail` (read and write)
+    pub(crate) publish: Mode,   // enqueue: write of the value (commit)
+    pub(crate) scan_tail: Mode, // dequeue: read of `tail`
+    pub(crate) scan_slot: Mode, // dequeue: read of each scanned slot
+    pub(crate) take: Rmw,       // dequeue: CAS marking the slot taken
+}
+
+/// The paper's modes (§3.1): release enqueues, acquire dequeues, and an
+/// acquire-release reservation.
+pub(crate) const PAPER: HwModes = HwModes {
+    reserve: Mode::AcqRel,
+    publish: Mode::Release,
+    scan_tail: Mode::Acquire,
+    scan_slot: Mode::Acquire,
+    // Acquire, NOT AcqRel — "dequeues use acquire ones" (§3.1). A
+    // releasing TAKEN write would publish the dequeuer's ghost (its M₀
+    // may mention enqueues outside a stale scan range), and a later
+    // scanner reading TAKEN would inherit them into its logview and
+    // violate QUEUE-EMPDEQ. The Compass checker caught exactly this when
+    // this CAS was AcqRel.
+    take: Rmw::new(Mode::Acquire, Mode::Acquire),
+};
 
 /// A bounded Herlihy-Wing queue on the model (see module docs).
 #[derive(Debug)]
@@ -38,13 +65,9 @@ pub struct HwQueue {
     slots: Loc,
     capacity: u32,
     obj: LibObj<QueueEvent>,
-    /// Mode of the tail FAA (AcqRel normally; Relaxed in the buggy
-    /// variant).
-    faa_mode: Mode,
-    /// Mode of the dequeuer's tail read (Acquire normally).
-    tail_read_mode: Mode,
     /// Ghost map: slot index → the enqueue event that filled it.
     enq_events: Mutex<HashMap<u32, EventId>>,
+    m: HwModes,
 }
 
 impl HwQueue {
@@ -56,18 +79,11 @@ impl HwQueue {
     /// Panics if `capacity` is zero, and (at enqueue time) if more than
     /// `capacity` enqueues are attempted.
     pub fn new(ctx: &mut ThreadCtx, capacity: u32) -> Self {
-        Self::with_tail_modes(ctx, capacity, Mode::AcqRel, Mode::Acquire)
+        Self::with_modes(ctx, capacity, PAPER)
     }
 
-    /// Constructor with explicit tail synchronization modes — used by
-    /// [`crate::buggy::RelaxedHwQueue`] to weaken the tail to relaxed,
-    /// which breaks QUEUE-FIFO under externally ordered producers.
-    pub(crate) fn with_tail_modes(
-        ctx: &mut ThreadCtx,
-        capacity: u32,
-        faa_mode: Mode,
-        tail_read_mode: Mode,
-    ) -> Self {
+    /// [`HwQueue::new`] with the access modes of `m`.
+    pub(crate) fn with_modes(ctx: &mut ThreadCtx, capacity: u32, m: HwModes) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         let inits = vec![Val::Null; capacity as usize];
         let slots = ctx.alloc_block_atomic("hw.slots", &inits);
@@ -77,9 +93,8 @@ impl HwQueue {
             slots,
             capacity,
             obj: LibObj::new("hw-queue"),
-            faa_mode,
-            tail_read_mode,
             enq_events: Mutex::new(HashMap::new()),
+            m,
         }
     }
 
@@ -99,19 +114,20 @@ impl HwQueue {
 impl ModelQueue for HwQueue {
     fn enqueue(&self, ctx: &mut ThreadCtx, v: Val) -> EventId {
         check_element(v);
-        // Reserve a slot. The FAA is an acquire-release RMW: its release
-        // half (plus RMW release sequences) is what lets a dequeuer that
-        // acquire-reads `tail` see every slot filled by enqueues that
-        // happen-before its call — the synchronization QUEUE-FIFO needs.
-        let t = ctx.fetch_add(self.tail, 1, self.faa_mode).expect_int();
+        // Reserve a slot. In the paper's table the FAA is an
+        // acquire-release RMW: its release half (plus RMW release
+        // sequences) is what lets a dequeuer that acquire-reads `tail` see
+        // every slot filled by enqueues that happen-before its call — the
+        // synchronization QUEUE-FIFO needs.
+        let t = ctx.fetch_add(self.tail, 1, self.m.reserve).expect_int();
         assert!(
             (t as u64) < self.capacity as u64,
             "HwQueue capacity {} exceeded",
             self.capacity
         );
         let i = t as u32;
-        // Commit point: the release write of the value.
-        ctx.write_with(self.slot(i), v, Mode::Release, |gh| {
+        // Commit point: the write of the value.
+        ctx.write_with(self.slot(i), v, self.m.publish, |gh| {
             let id = self.obj.commit(gh, QueueEvent::Enq(v));
             self.enq_events.lock().insert(i, id);
             id
@@ -121,7 +137,7 @@ impl ModelQueue for HwQueue {
     fn try_dequeue(&self, ctx: &mut ThreadCtx) -> (Option<Val>, EventId) {
         // Read the scan range; when it is empty this read is the
         // empty-dequeue commit point.
-        let (n_val, emp) = ctx.read_with(self.tail, self.tail_read_mode, |v, gh| {
+        let (n_val, emp) = ctx.read_with(self.tail, self.m.scan_tail, |v, gh| {
             (v == Val::Int(0)).then(|| self.obj.commit(gh, QueueEvent::EmpDeq))
         });
         if let Some(ev) = emp {
@@ -130,9 +146,9 @@ impl ModelQueue for HwQueue {
         let n = (n_val.expect_int() as u64).min(self.capacity as u64) as u32;
         for i in 0..n {
             let last = i + 1 == n;
-            // Acquire read of the slot; if the scan ends here empty, this
-            // read is the empty-dequeue commit point.
-            let (v, emp) = ctx.read_with(self.slot(i), Mode::Acquire, |v, gh| {
+            // Read the slot; if the scan ends here empty, this read is the
+            // empty-dequeue commit point.
+            let (v, emp) = ctx.read_with(self.slot(i), self.m.scan_slot, |v, gh| {
                 ((v.is_null() || v == TAKEN) && last)
                     .then(|| self.obj.commit(gh, QueueEvent::EmpDeq))
             });
@@ -145,21 +161,13 @@ impl ModelQueue for HwQueue {
             // Take it: the successful CAS is the dequeue commit point; a
             // failed CAS on the last slot means everything was taken and
             // is the empty-dequeue commit point.
-            //
-            // Mode: Acquire, NOT AcqRel — "dequeues use acquire ones"
-            // (§3.1). A releasing TAKEN write would publish the
-            // dequeuer's ghost (its M₀ may mention enqueues outside a
-            // stale scan range), and a later scanner reading TAKEN would
-            // inherit them into its logview and violate QUEUE-EMPDEQ.
-            // The Compass checker caught exactly this when this CAS was
-            // AcqRel.
             let source = self.enq_event_of(i);
             let (res, ev) = ctx.cas_with(
                 self.slot(i),
                 v,
                 TAKEN,
-                Mode::Acquire,
-                Mode::Acquire,
+                self.m.take.ok,
+                self.m.take.fail,
                 |r, gh| {
                     if r.new.is_some() {
                         Some(self.obj.commit_matched(gh, QueueEvent::Deq(v), source))

@@ -1,8 +1,8 @@
 //! Model queues: Michael-Scott and Herlihy-Wing.
 
-mod hw;
+pub(crate) mod hw;
 mod lockq;
-mod ms;
+pub(crate) mod ms;
 mod spsc;
 
 pub use hw::HwQueue;

@@ -23,10 +23,51 @@ use compass::{EventId, LibObj};
 use orc11::{Loc, Mode, ThreadCtx, Val};
 
 use super::ModelQueue;
-use crate::check_element;
+use crate::{alloc, check_element, Rmw};
 
 const VAL: u32 = 0;
 const NEXT: u32 = 1;
+
+/// The queue's mode table: the mode of each access site, and the labels
+/// of its library object and locations.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MsModes {
+    pub(crate) obj: &'static str,
+    pub(crate) sentinel: &'static str,
+    pub(crate) head: &'static str,
+    pub(crate) tail: &'static str,
+    pub(crate) node: &'static str,
+    pub(crate) enq_tail: Mode, // enqueue: read of `tail`
+    pub(crate) enq_next: Mode, // enqueue: read of `tail.next`
+    pub(crate) help: Rmw,      // enqueue: CAS helping a lagging `tail`
+    pub(crate) link: Rmw,      // enqueue: CAS linking the node (commit)
+    pub(crate) swing: Rmw,     // enqueue: CAS swinging `tail` to the node
+    pub(crate) deq_head: Mode, // dequeue: read of `head`
+    pub(crate) deq_next: Mode, // dequeue: read of `head.next`
+    /// Dequeue: read of the node's value. Nodes, the sentinel, `head` and
+    /// `tail` are allocated atomic exactly when this mode is atomic.
+    pub(crate) val: Mode,
+    pub(crate) deq: Rmw, // dequeue: CAS swinging `head` (commit)
+}
+
+/// The paper's modes (§3.2): acquire reads, release CASes on the enqueue
+/// side, an acquire-release CAS on `head`.
+pub(crate) const PAPER: MsModes = MsModes {
+    obj: "ms-queue",
+    sentinel: "ms.sentinel",
+    head: "ms.head",
+    tail: "ms.tail",
+    node: "ms.node",
+    enq_tail: Mode::Acquire,
+    enq_next: Mode::Acquire,
+    help: Rmw::new(Mode::Release, Mode::Relaxed),
+    link: Rmw::new(Mode::Release, Mode::Relaxed),
+    swing: Rmw::new(Mode::Release, Mode::Relaxed),
+    deq_head: Mode::Acquire,
+    deq_next: Mode::Acquire,
+    val: Mode::NonAtomic,
+    deq: Rmw::new(Mode::AcqRel, Mode::Acquire),
+};
 
 /// A Michael-Scott queue on the model (see module docs).
 #[derive(Debug)]
@@ -36,19 +77,27 @@ pub struct MsQueue {
     obj: LibObj<QueueEvent>,
     /// Ghost map: node → the enqueue event that published it.
     enq_events: Mutex<HashMap<Loc, EventId>>,
+    m: MsModes,
 }
 
 impl MsQueue {
     /// Allocates an empty queue (one sentinel node).
     pub fn new(ctx: &mut ThreadCtx) -> Self {
-        let sentinel = ctx.alloc_block("ms.sentinel", &[Val::Null, Val::Null]);
-        let head = ctx.alloc("ms.head", Val::Loc(sentinel));
-        let tail = ctx.alloc("ms.tail", Val::Loc(sentinel));
+        Self::with_modes(ctx, PAPER)
+    }
+
+    /// [`MsQueue::new`] with the access modes of `m`.
+    pub(crate) fn with_modes(ctx: &mut ThreadCtx, m: MsModes) -> Self {
+        let atomic = m.val.is_atomic();
+        let sentinel = alloc(ctx, atomic, m.sentinel, &[Val::Null, Val::Null]);
+        let head = alloc(ctx, atomic, m.head, &[Val::Loc(sentinel)]);
+        let tail = alloc(ctx, atomic, m.tail, &[Val::Loc(sentinel)]);
         MsQueue {
             head,
             tail,
-            obj: LibObj::new("ms-queue"),
+            obj: LibObj::new(m.obj),
             enq_events: Mutex::new(HashMap::new()),
+            m,
         }
     }
 
@@ -58,19 +107,37 @@ impl MsQueue {
     /// the SPSC client, §3.2) — under multi-consumer contention prefer
     /// [`ModelQueue::try_dequeue`] in a retry loop.
     pub fn dequeue_await(&self, ctx: &mut ThreadCtx) -> (Val, EventId) {
+        let (v, ev) = self.dequeue(ctx, true);
+        (v.expect("a blocking dequeue returns an element"), ev)
+    }
+
+    /// One dequeue, retrying on contention. With `block` it waits for
+    /// `head.next` instead of committing an empty dequeue.
+    fn dequeue(&self, ctx: &mut ThreadCtx, block: bool) -> (Option<Val>, EventId) {
+        let m = &self.m;
         loop {
-            let head = ctx.read(self.head, Mode::Acquire).expect_loc();
-            // Block until this node has a successor.
-            let next = ctx.read_await(head.field(NEXT), Mode::Acquire, |v| !v.is_null());
+            let head = ctx.read(self.head, m.deq_head).expect_loc();
+            let next = if block {
+                ctx.read_await(head.field(NEXT), m.deq_next, |v| !v.is_null())
+            } else {
+                // Commit point of the empty case: this read seeing null.
+                let (next, emp) = ctx.read_with(head.field(NEXT), m.deq_next, |v, gh| {
+                    v.is_null().then(|| self.obj.commit(gh, QueueEvent::EmpDeq))
+                });
+                if let Some(ev) = emp {
+                    return (None, ev);
+                }
+                next
+            };
             let node = next.expect_loc();
-            let v = ctx.read(node.field(VAL), Mode::NonAtomic);
+            let v = ctx.read(node.field(VAL), m.val);
             let source = self.enq_event_of(node);
             let (res, ev) = ctx.cas_with(
                 self.head,
                 Val::Loc(head),
                 Val::Loc(node),
-                Mode::AcqRel,
-                Mode::Acquire,
+                m.deq.ok,
+                m.deq.fail,
                 |r, gh| {
                     r.new
                         .is_some()
@@ -78,7 +145,7 @@ impl MsQueue {
                 },
             );
             if res.is_ok() {
-                return (v, ev.expect("successful dequeue committed"));
+                return (Some(v), ev.expect("successful dequeue committed"));
             }
         }
     }
@@ -95,28 +162,29 @@ impl MsQueue {
 impl ModelQueue for MsQueue {
     fn enqueue(&self, ctx: &mut ThreadCtx, v: Val) -> EventId {
         check_element(v);
-        let node = ctx.alloc_block("ms.node", &[v, Val::Null]);
+        let m = &self.m;
+        let node = alloc(ctx, m.val.is_atomic(), m.node, &[v, Val::Null]);
         loop {
-            let tail = ctx.read(self.tail, Mode::Acquire).expect_loc();
-            let next = ctx.read(tail.field(NEXT), Mode::Acquire);
+            let tail = ctx.read(self.tail, m.enq_tail).expect_loc();
+            let next = ctx.read(tail.field(NEXT), m.enq_next);
             if let Some(succ) = next.as_loc() {
                 // Tail is lagging: help swing it and retry.
                 let _ = ctx.cas(
                     self.tail,
                     Val::Loc(tail),
                     Val::Loc(succ),
-                    Mode::Release,
-                    Mode::Relaxed,
+                    m.help.ok,
+                    m.help.fail,
                 );
                 continue;
             }
-            // Commit point: the release CAS linking the node.
+            // Commit point: the CAS linking the node.
             let (res, ev) = ctx.cas_with(
                 tail.field(NEXT),
                 Val::Null,
                 Val::Loc(node),
-                Mode::Release,
-                Mode::Relaxed,
+                m.link.ok,
+                m.link.fail,
                 |r, gh| {
                     r.new.is_some().then(|| {
                         let id = self.obj.commit(gh, QueueEvent::Enq(v));
@@ -131,8 +199,8 @@ impl ModelQueue for MsQueue {
                     self.tail,
                     Val::Loc(tail),
                     Val::Loc(node),
-                    Mode::Release,
-                    Mode::Relaxed,
+                    m.swing.ok,
+                    m.swing.fail,
                 );
                 return ev.expect("successful link committed");
             }
@@ -140,34 +208,7 @@ impl ModelQueue for MsQueue {
     }
 
     fn try_dequeue(&self, ctx: &mut ThreadCtx) -> (Option<Val>, EventId) {
-        loop {
-            let head = ctx.read(self.head, Mode::Acquire).expect_loc();
-            // Commit point of the empty case: this acquire read seeing null.
-            let (next, emp) = ctx.read_with(head.field(NEXT), Mode::Acquire, |v, gh| {
-                v.is_null().then(|| self.obj.commit(gh, QueueEvent::EmpDeq))
-            });
-            if let Some(ev) = emp {
-                return (None, ev);
-            }
-            let node = next.expect_loc();
-            let v = ctx.read(node.field(VAL), Mode::NonAtomic);
-            let source = self.enq_event_of(node);
-            let (res, ev) = ctx.cas_with(
-                self.head,
-                Val::Loc(head),
-                Val::Loc(node),
-                Mode::AcqRel,
-                Mode::Acquire,
-                |r, gh| {
-                    r.new
-                        .is_some()
-                        .then(|| self.obj.commit_matched(gh, QueueEvent::Deq(v), source))
-                },
-            );
-            if res.is_ok() {
-                return (Some(v), ev.expect("successful dequeue committed"));
-            }
-        }
+        self.dequeue(ctx, false)
     }
 
     fn obj(&self) -> &LibObj<QueueEvent> {

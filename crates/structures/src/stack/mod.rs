@@ -1,7 +1,7 @@
 //! Model stacks: Treiber and the compositional elimination stack.
 
 mod elimination;
-mod treiber;
+pub(crate) mod treiber;
 
 pub use elimination::ElimStack;
 pub use treiber::TreiberStack;

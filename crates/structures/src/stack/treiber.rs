@@ -21,10 +21,41 @@ use compass::{EventId, LibObj};
 use orc11::{Loc, Mode, ThreadCtx, Val};
 
 use super::{ModelStack, NoStackHook, StackHook, TryPop};
-use crate::check_element;
+use crate::{alloc, check_element, Rmw};
 
 const VAL: u32 = 0;
 const NEXT: u32 = 1;
+
+/// The stack's mode table: the mode of each access site, and the labels
+/// of its library object and locations.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TreiberModes {
+    pub(crate) obj: &'static str,
+    pub(crate) head: &'static str,
+    pub(crate) node: &'static str,
+    pub(crate) push_head: Mode, // push: read of `head`
+    pub(crate) push: Rmw,       // push: CAS installing the node (commit)
+    pub(crate) pop_head: Mode,  // pop: read of `head` (empty-pop commit)
+    pub(crate) pop: Rmw,        // pop: CAS swinging `head` (commit)
+    /// Every access to a node's fields: the push's write of `next`, the
+    /// pop's reads of the value and `next`. Nodes and `head` are
+    /// allocated atomic exactly when this mode is atomic.
+    pub(crate) fields: Mode,
+}
+
+/// The paper's modes (§3.3): release push CASes, acquire pop CASes.
+pub(crate) const PAPER: TreiberModes = TreiberModes {
+    obj: "treiber-stack",
+    head: "treiber.head",
+    node: "treiber.node",
+    push_head: Mode::Relaxed,
+    push: Rmw::new(Mode::Release, Mode::Relaxed),
+    pop_head: Mode::Acquire,
+    pop: Rmw::new(Mode::Acquire, Mode::Relaxed),
+    // The node is unpublished when pushed and published by the release
+    // CAS when popped: non-atomic accesses are race-free.
+    fields: Mode::NonAtomic,
+};
 
 /// A Treiber stack on the model (see module docs).
 #[derive(Debug)]
@@ -33,16 +64,23 @@ pub struct TreiberStack {
     obj: LibObj<StackEvent>,
     /// Ghost map: node → the push event that published it.
     push_events: Mutex<HashMap<Loc, EventId>>,
+    m: TreiberModes,
 }
 
 impl TreiberStack {
     /// Allocates an empty stack.
     pub fn new(ctx: &mut ThreadCtx) -> Self {
-        let head = ctx.alloc("treiber.head", Val::Null);
+        Self::with_modes(ctx, PAPER)
+    }
+
+    /// [`TreiberStack::new`] with the access modes of `m`.
+    pub(crate) fn with_modes(ctx: &mut ThreadCtx, m: TreiberModes) -> Self {
+        let head = alloc(ctx, m.fields.is_atomic(), m.head, &[Val::Null]);
         TreiberStack {
             head,
-            obj: LibObj::new("treiber-stack"),
+            obj: LibObj::new(m.obj),
             push_events: Mutex::new(HashMap::new()),
+            m,
         }
     }
 
@@ -57,15 +95,14 @@ impl TreiberStack {
         node: Loc,
         hook: &dyn StackHook,
     ) -> Result<EventId, ()> {
-        let h = ctx.read(self.head, Mode::Relaxed);
-        // The node is unpublished: non-atomic writes are race-free.
-        ctx.write(node.field(NEXT), h, Mode::NonAtomic);
+        let h = ctx.read(self.head, self.m.push_head);
+        ctx.write(node.field(NEXT), h, self.m.fields);
         let (res, ev) = ctx.cas_with(
             self.head,
             h,
             Val::Loc(node),
-            Mode::Release,
-            Mode::Relaxed,
+            self.m.push.ok,
+            self.m.push.fail,
             |r, gh| {
                 r.new.is_some().then(|| {
                     let id = self.obj.commit(gh, StackEvent::Push(v));
@@ -88,14 +125,14 @@ impl TreiberStack {
         hook: &dyn StackHook,
     ) -> Result<EventId, ()> {
         check_element(v);
-        let node = ctx.alloc_block("treiber.node", &[v, Val::Null]);
+        let node = alloc(ctx, self.m.fields.is_atomic(), self.m.node, &[v, Val::Null]);
         self.try_push_node(ctx, v, node, hook)
     }
 
     /// Push, retrying on contention, with a client hook at the commit.
     pub fn push_hooked(&self, ctx: &mut ThreadCtx, v: Val, hook: &dyn StackHook) -> EventId {
         check_element(v);
-        let node = ctx.alloc_block("treiber.node", &[v, Val::Null]);
+        let node = alloc(ctx, self.m.fields.is_atomic(), self.m.node, &[v, Val::Null]);
         loop {
             if let Ok(ev) = self.try_push_node(ctx, v, node, hook) {
                 return ev;
@@ -105,8 +142,8 @@ impl TreiberStack {
 
     /// Single-attempt pop (`try_pop'` of §4.1) with a client hook.
     pub fn try_pop_hooked(&self, ctx: &mut ThreadCtx, hook: &dyn StackHook) -> TryPop {
-        // Commit point of the empty case: this acquire read seeing null.
-        let (h, emp) = ctx.read_with(self.head, Mode::Acquire, |v, gh| {
+        // Commit point of the empty case: this read seeing null.
+        let (h, emp) = ctx.read_with(self.head, self.m.pop_head, |v, gh| {
             v.is_null().then(|| {
                 let id = self.obj.commit(gh, StackEvent::EmpPop);
                 hook.on_empty(gh, id);
@@ -117,16 +154,18 @@ impl TreiberStack {
             return TryPop::Empty(ev);
         }
         let node = h.expect_loc();
-        // Race-free: the acquire read of head synchronized with the
-        // pusher's release CAS, which published the node's fields.
-        let v = ctx.read(node.field(VAL), Mode::NonAtomic);
-        let next = ctx.read(node.field(NEXT), Mode::NonAtomic);
+        // Race-free in the paper's table: the acquire read of head
+        // synchronized with the pusher's release CAS, which published the
+        // node's fields.
+        let v = ctx.read(node.field(VAL), self.m.fields);
+        let next = ctx.read(node.field(NEXT), self.m.fields);
         let source = *self
             .push_events
             .lock()
             .get(&node)
             .expect("published node has a push event");
-        let (res, ev) = ctx.cas_with(self.head, h, next, Mode::Acquire, Mode::Relaxed, |r, gh| {
+        let pop = self.m.pop;
+        let (res, ev) = ctx.cas_with(self.head, h, next, pop.ok, pop.fail, |r, gh| {
             r.new.is_some().then(|| {
                 let id = self.obj.commit_matched(gh, StackEvent::Pop(v), source);
                 hook.on_pop(gh, id, source, v);

@@ -1,6 +1,5 @@
 //! A release-acquire software transactional memory on the model, with
-//! ghost commit points (ROADMAP item 3; Dalvandi & Dongol,
-//! arXiv:2208.00315).
+//! ghost commit points (Dalvandi & Dongol, arXiv:2208.00315).
 //!
 //! The algorithm is a **transactional mutex lock** (TML), the simplest
 //! member of the versioned-TM family the Dalvandi–Dongol construction
@@ -31,18 +30,59 @@
 //! the odd lock CAS — and the subsequent validation read of `glb` is
 //! then coherence-bound to return a version ≥ the odd one, forcing the
 //! abort. Skipping that validation (the
-//! [`crate::buggy::UnvalidatedTml`] control) lets a doomed transaction
-//! return torn state, which [`compass::stm_spec`] flags as `STM-RO` /
-//! `STM-ABORT`.
+//! [`crate::buggy::UnvalidatedTml`] control: the same TML with its
+//! mode table's validation off) lets a doomed transaction return torn
+//! state, which [`compass::stm_spec`] flags as `STM-RO`.
+//!
+//! The access modes above are stated once, in the TML's mode table.
 
 use compass::stm_spec::StmEvent;
 use compass::LibObj;
 use orc11::{Loc, Mode, ThreadCtx, Val};
 
+use crate::Rmw;
+
 /// The transaction aborted; its terminal [`StmEvent::Abort`] is already
 /// committed and the handle is dead.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Aborted;
+
+/// The TML's mode table: the mode of each access site, whether reads
+/// validate, and the labels of its library object and locations (all
+/// atomic; key `k` is labelled `data` followed by `k`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TmlModes {
+    pub(crate) obj: &'static str,
+    pub(crate) glb: &'static str,
+    pub(crate) data: &'static str,
+    /// Whether a read outside the lock validates against `glb`; without
+    /// validation every read takes the locked-read path.
+    pub(crate) validate: bool,
+    pub(crate) begin: Mode,         // awaited read of an even `glb`
+    pub(crate) read_locked: Mode,   // key read under the lock
+    pub(crate) read: Mode,          // key read before validating
+    pub(crate) validate_read: Mode, // validating read of `glb`
+    pub(crate) lock: Rmw,           // CAS taking the lock
+    pub(crate) write: Mode,         // key write
+    pub(crate) unlock: Mode,        // a writer's commit: write of `glb`
+    pub(crate) commit_read: Mode,   // a reader's commit: read of `glb`
+}
+
+/// The release-acquire TML's modes (see module docs).
+pub(crate) const PAPER: TmlModes = TmlModes {
+    obj: "tml",
+    glb: "tml.glb",
+    data: "tml.data",
+    validate: true,
+    begin: Mode::Acquire,
+    read_locked: Mode::Acquire,
+    read: Mode::Acquire,
+    validate_read: Mode::Acquire,
+    lock: Rmw::new(Mode::AcqRel, Mode::Relaxed),
+    write: Mode::Release,
+    unlock: Mode::Release,
+    commit_read: Mode::Acquire,
+};
 
 /// The model TML instance: a global version/lock word and a fixed set of
 /// transactional keys.
@@ -51,6 +91,7 @@ pub struct ModelTml {
     glb: Loc,
     data: Vec<Loc>,
     obj: LibObj<StmEvent>,
+    m: TmlModes,
 }
 
 /// A live transaction handle. Obtain with [`ModelTml::begin`]; consume
@@ -65,12 +106,18 @@ pub struct TmlTxn {
 impl ModelTml {
     /// Allocates a TM with `n_keys` transactional locations, all `0`.
     pub fn new(ctx: &mut ThreadCtx, n_keys: usize) -> Self {
+        Self::with_modes(ctx, n_keys, PAPER)
+    }
+
+    /// [`ModelTml::new`] with the access modes of `m`.
+    pub(crate) fn with_modes(ctx: &mut ThreadCtx, n_keys: usize, m: TmlModes) -> Self {
         ModelTml {
-            glb: ctx.alloc_atomic("tml.glb", Val::Int(0)),
+            glb: ctx.alloc_atomic(m.glb, Val::Int(0)),
             data: (0..n_keys)
-                .map(|k| ctx.alloc_atomic(&format!("tml.data{k}"), Val::Int(0)))
+                .map(|k| ctx.alloc_atomic(&format!("{}{k}", m.data), Val::Int(0)))
                 .collect(),
-            obj: LibObj::new("tml"),
+            obj: LibObj::new(m.obj),
+            m,
         }
     }
 
@@ -89,7 +136,7 @@ impl ModelTml {
     pub fn begin(&self, ctx: &mut ThreadCtx, tx: i64) -> TmlTxn {
         let (v, _) = ctx.read_await_with(
             self.glb,
-            Mode::Acquire,
+            self.m.begin,
             |v| v.expect_int() % 2 == 0,
             |v, gh| {
                 self.obj.commit(
@@ -112,17 +159,18 @@ impl ModelTml {
     pub fn read(&self, ctx: &mut ThreadCtx, txn: &mut TmlTxn, key: usize) -> Result<Val, Aborted> {
         let tx = txn.tx;
         let k = key as i64;
-        if txn.locked {
+        if txn.locked || !self.m.validate {
             // We hold the lock: no concurrent writer, the read is final.
-            let (v, _) = ctx.read_with(self.data[key], Mode::Acquire, |v, gh| {
+            // (Without validation every read is final.)
+            let (v, _) = ctx.read_with(self.data[key], self.m.read_locked, |v, gh| {
                 self.obj.commit(gh, StmEvent::Read { tx, key: k, v })
             });
             return Ok(v);
         }
-        let v = ctx.read(self.data[key], Mode::Acquire);
+        let v = ctx.read(self.data[key], self.m.read);
         // Validate: the commit point of the read (or of the abort).
         let ver = txn.ver;
-        let (_, ok) = ctx.read_with(self.glb, Mode::Acquire, |g, gh| {
+        let (_, ok) = ctx.read_with(self.glb, self.m.validate_read, |g, gh| {
             if g == Val::Int(ver) {
                 self.obj.commit(gh, StmEvent::Read { tx, key: k, v });
                 true
@@ -154,8 +202,8 @@ impl ModelTml {
                 self.glb,
                 Val::Int(ver),
                 Val::Int(ver + 1),
-                Mode::AcqRel,
-                Mode::Relaxed,
+                self.m.lock.ok,
+                self.m.lock.fail,
                 |r, gh| {
                     if r.new.is_none() {
                         self.obj.commit(gh, StmEvent::Abort { tx });
@@ -167,7 +215,7 @@ impl ModelTml {
             }
             txn.locked = true;
         }
-        ctx.write_with(self.data[key], v, Mode::Release, |gh| {
+        ctx.write_with(self.data[key], v, self.m.write, |gh| {
             self.obj.commit(
                 gh,
                 StmEvent::Write {
@@ -187,12 +235,12 @@ impl ModelTml {
         let tx = txn.tx;
         if txn.locked {
             let ver = txn.ver + 2;
-            ctx.write_with(self.glb, Val::Int(ver), Mode::Release, |gh| {
+            ctx.write_with(self.glb, Val::Int(ver), self.m.unlock, |gh| {
                 self.obj.commit(gh, StmEvent::Commit { tx, ver })
             });
         } else {
             let ver = txn.ver;
-            ctx.read_with(self.glb, Mode::Acquire, |_, gh| {
+            ctx.read_with(self.glb, self.m.commit_read, |_, gh| {
                 self.obj.commit(gh, StmEvent::Commit { tx, ver })
             });
         }

@@ -6,7 +6,7 @@
 //!    violation-free on every execution of an exhaustive DFS, with and
 //!    without DPOR, and the DPOR reports are byte-identical at 1 and 4
 //!    checker threads;
-//! 2. the seeded controls (`RelaxedArc` — relaxed decrement without the
+//! 2. the seeded controls (`buggy::relaxed_arc` — relaxed decrement without the
 //!    acquire fence; `UnvalidatedTml` — reads skip version validation)
 //!    are convicted of exactly the expected clauses, with identical
 //!    clause sets under plain DFS and DPOR at both thread counts;
@@ -25,7 +25,7 @@ use compass::CheckReport;
 use compass_bench::arc_stm::{ArcSubject, StmSubject};
 use compass_native::{WeakArcCell, WeakTml};
 use compass_repro::structures::arc::ModelArc;
-use compass_repro::structures::buggy::{RelaxedArc, UnvalidatedTml};
+use compass_repro::structures::buggy::{relaxed_arc, UnvalidatedTml};
 use compass_repro::structures::stm::{Aborted, ModelTml};
 use orc11::{run_model, BodyFn, Config, Json, ThreadCtx, Val};
 
@@ -132,16 +132,16 @@ fn explore_relaxed_arc(dpor: bool, threads: usize) -> CheckReport {
                 &Config::default(),
                 strategy,
                 |ctx| {
-                    let a = RelaxedArc::new(ctx, Val::Int(42));
+                    let a = relaxed_arc(ctx, Val::Int(42));
                     a.clone_ref(ctx);
                     a
                 },
                 vec![
-                    Box::new(|ctx: &mut ThreadCtx, a: &RelaxedArc| {
+                    Box::new(|ctx: &mut ThreadCtx, a: &ModelArc| {
                         a.load(ctx);
                         a.drop_ref(ctx);
                     }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, a: &RelaxedArc| {
+                    Box::new(|ctx: &mut ThreadCtx, a: &ModelArc| {
                         a.load(ctx);
                         a.drop_ref(ctx);
                     }),

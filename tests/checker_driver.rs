@@ -4,7 +4,7 @@
 
 use compass::checker::{check_executions, CheckReport, Exploration};
 use compass::queue_spec::check_queue_consistent;
-use compass_repro::structures::buggy::RelaxedMsQueue;
+use compass_repro::structures::buggy::relaxed_ms_queue;
 use compass_repro::structures::queue::{ModelQueue, MsQueue};
 use orc11::{run_model, BodyFn, Config, Strategy, ThreadCtx, Val};
 
@@ -64,7 +64,7 @@ fn ms_queue_clean_under_every_strategy() {
 #[test]
 fn buggy_queue_clauses_are_accounted() {
     let report = explore(
-        RelaxedMsQueue::new,
+        relaxed_ms_queue,
         &Exploration::Pct {
             iters: 400,
             seed0: 0,
@@ -84,11 +84,11 @@ fn buggy_queue_clauses_are_accounted() {
 fn dfs_exhausts_and_finds_every_buggy_schedule() {
     // Exhaustive exploration of the buggy queue: the violation count is a
     // *complete* census of this instance's schedule space, not a sample.
-    let report = explore(RelaxedMsQueue::new, &Exploration::Dfs { budget: 400_000 });
+    let report = explore(relaxed_ms_queue, &Exploration::Dfs { budget: 400_000 });
     assert!(report.exhausted, "should exhaust: {report}");
     assert!(report.violated("QUEUE-SO-LHB"));
     // Deterministic: the exact counts are a property of the instance.
-    let again = explore(RelaxedMsQueue::new, &Exploration::Dfs { budget: 400_000 });
+    let again = explore(relaxed_ms_queue, &Exploration::Dfs { budget: 400_000 });
     assert_eq!(report.execs, again.execs);
     assert_eq!(report.consistent, again.consistent);
     assert_eq!(report.violations, again.violations);

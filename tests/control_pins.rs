@@ -26,9 +26,7 @@ use compass::stack_spec::check_stack_consistent;
 use compass::stm_spec::check_stm_consistent;
 use compass::{CheckReport, Graph};
 use compass_repro::structures::arc::ModelArc;
-use compass_repro::structures::buggy::{
-    RelaxedArc, RelaxedHwQueue, RelaxedMsQueue, RelaxedTreiber, UnvalidatedTml,
-};
+use compass_repro::structures::buggy::{self, UnvalidatedTml};
 use compass_repro::structures::clients::run_mp;
 use compass_repro::structures::queue::{HwQueue, ModelQueue, MsQueue};
 use compass_repro::structures::stack::{ModelStack, TreiberStack};
@@ -183,41 +181,10 @@ fn mp<Q: ModelQueue>(
     }
 }
 
-/// The two stacks' operations, under one name.
-trait PinStack: Sync {
-    fn push(&self, ctx: &mut ThreadCtx, v: Val);
-    fn pop(&self, ctx: &mut ThreadCtx);
-    fn graph(&self) -> Graph<compass::stack_spec::StackEvent>;
-}
-
-impl PinStack for TreiberStack {
-    fn push(&self, ctx: &mut ThreadCtx, v: Val) {
-        ModelStack::push(self, ctx, v);
-    }
-    fn pop(&self, ctx: &mut ThreadCtx) {
-        ModelStack::pop(self, ctx);
-    }
-    fn graph(&self) -> Graph<compass::stack_spec::StackEvent> {
-        ModelStack::obj(self).snapshot()
-    }
-}
-
-impl PinStack for RelaxedTreiber {
-    fn push(&self, ctx: &mut ThreadCtx, v: Val) {
-        RelaxedTreiber::push(self, ctx, v);
-    }
-    fn pop(&self, ctx: &mut ThreadCtx) {
-        self.try_pop(ctx);
-    }
-    fn graph(&self) -> Graph<compass::stack_spec::StackEvent> {
-        self.obj().snapshot()
-    }
-}
-
 /// `(push; pop) ∥ push`.
-fn treiber<S: PinStack>(
+fn treiber(
     cfg: &Config,
-    make: impl Fn(&mut ThreadCtx) -> S,
+    make: impl Fn(&mut ThreadCtx) -> TreiberStack,
     strategy: Box<dyn Strategy>,
 ) -> RunOutcome<Graph<compass::stack_spec::StackEvent>> {
     run_model(
@@ -225,53 +192,26 @@ fn treiber<S: PinStack>(
         strategy,
         make,
         vec![
-            Box::new(|ctx: &mut ThreadCtx, s: &S| {
+            Box::new(|ctx: &mut ThreadCtx, s: &TreiberStack| {
                 s.push(ctx, Val::Int(1));
                 s.pop(ctx);
             }) as BodyFn<'_, _, ()>,
-            Box::new(|ctx: &mut ThreadCtx, s: &S| s.push(ctx, Val::Int(2))),
+            Box::new(|ctx: &mut ThreadCtx, s: &TreiberStack| {
+                s.push(ctx, Val::Int(2));
+            }),
         ],
-        |_, s, _| s.graph(),
+        |_, s, _| s.obj().snapshot(),
     )
 }
 
-/// The two Arcs' operations, under one name.
-trait PinArc: Sync {
-    fn clone_ref(&self, ctx: &mut ThreadCtx);
-    fn load(&self, ctx: &mut ThreadCtx) -> Val;
-    fn drop_ref(&self, ctx: &mut ThreadCtx) -> bool;
-    fn graph(&self) -> Graph<compass::arc_spec::ArcEvent>;
-}
-
-macro_rules! pin_arc {
-    ($t:ty) => {
-        impl PinArc for $t {
-            fn clone_ref(&self, ctx: &mut ThreadCtx) {
-                <$t>::clone_ref(self, ctx)
-            }
-            fn load(&self, ctx: &mut ThreadCtx) -> Val {
-                <$t>::load(self, ctx)
-            }
-            fn drop_ref(&self, ctx: &mut ThreadCtx) -> bool {
-                <$t>::drop_ref(self, ctx)
-            }
-            fn graph(&self) -> Graph<compass::arc_spec::ArcEvent> {
-                self.obj().snapshot()
-            }
-        }
-    };
-}
-pin_arc!(ModelArc);
-pin_arc!(RelaxedArc);
-
 /// `clone; (load; drop) ∥ (load; drop)`.
-fn arc<A: PinArc>(
+fn arc(
     cfg: &Config,
-    make: impl Fn(&mut ThreadCtx, Val) -> A,
+    make: impl Fn(&mut ThreadCtx, Val) -> ModelArc,
     strategy: Box<dyn Strategy>,
 ) -> RunOutcome<Graph<compass::arc_spec::ArcEvent>> {
     let body = || {
-        Box::new(|ctx: &mut ThreadCtx, a: &A| {
+        Box::new(|ctx: &mut ThreadCtx, a: &ModelArc| {
             a.load(ctx);
             a.drop_ref(ctx);
         }) as BodyFn<'_, _, ()>
@@ -285,7 +225,7 @@ fn arc<A: PinArc>(
             a
         },
         vec![body(), body()],
-        |_, a, _| a.graph(),
+        |_, a, _| a.obj().snapshot(),
     )
 }
 
@@ -378,7 +318,11 @@ fn ms_queue() {
 
 #[test]
 fn relaxed_ms_queue() {
-    let r = explore(None, |s| mp(RelaxedMsQueue::new, s), check_queue_consistent);
+    let r = explore(
+        None,
+        |s| mp(buggy::relaxed_ms_queue, s),
+        check_queue_consistent,
+    );
     assert_pin(
         "RelaxedMsQueue",
         &r,
@@ -392,7 +336,7 @@ fn relaxed_ms_queue() {
     );
     assert_golden_bundle(
         "RelaxedMsQueue",
-        |s| mp_recorded(RelaxedMsQueue::new, s),
+        |s| mp_recorded(buggy::relaxed_ms_queue, s),
         check_queue_consistent,
     );
 }
@@ -419,7 +363,7 @@ fn hw_queue() {
 
 #[test]
 fn relaxed_hw_queue() {
-    let make = |ctx: &mut ThreadCtx| RelaxedHwQueue::new(ctx, 4);
+    let make = |ctx: &mut ThreadCtx| buggy::relaxed_hw_queue(ctx, 4);
     let r = explore(None, |s| mp(make, s), check_queue_consistent);
     assert_pin(
         "RelaxedHwQueue",
@@ -465,7 +409,7 @@ fn relaxed_treiber() {
     let cfg = Config::default();
     let r = explore(
         None,
-        |s| treiber(&cfg, RelaxedTreiber::new, s),
+        |s| treiber(&cfg, buggy::relaxed_treiber, s),
         check_stack_consistent,
     );
     assert_pin(
@@ -482,7 +426,7 @@ fn relaxed_treiber() {
     let cfg = recorded();
     assert_golden_bundle(
         "RelaxedTreiber",
-        |s| treiber(&cfg, RelaxedTreiber::new, s),
+        |s| treiber(&cfg, buggy::relaxed_treiber, s),
         check_stack_consistent,
     );
 }
@@ -509,7 +453,7 @@ fn relaxed_arc() {
     let cfg = Config::default();
     let r = explore(
         None,
-        |s| arc(&cfg, RelaxedArc::new, s),
+        |s| arc(&cfg, buggy::relaxed_arc, s),
         check_arc_consistent,
     );
     assert_pin(
@@ -517,16 +461,16 @@ fn relaxed_arc() {
         &r,
         &Pin {
             execs: 6,
-            steps: 48,
+            steps: 66,
             consistent: 0,
-            stats: r#"{"reads":{"na":0,"rlx":12,"rel":0,"acq":0,"acq_rel":0},"writes":{"na":0,"rlx":6,"rel":0,"acq":0,"acq_rel":0},"rmws":{"na":0,"rlx":18,"rel":0,"acq":0,"acq_rel":0},"failed_cas":0,"awaited_reads":0,"fences":{"acq":0,"rel":0,"acq_rel":0,"sc":0},"allocs":12,"races":0,"steps":48}"#,
+            stats: r#"{"reads":{"na":0,"rlx":12,"rel":0,"acq":0,"acq_rel":0},"writes":{"na":0,"rlx":6,"rel":0,"acq":0,"acq_rel":0},"rmws":{"na":0,"rlx":18,"rel":6,"acq":0,"acq_rel":0},"failed_cas":0,"awaited_reads":0,"fences":{"acq":6,"rel":0,"acq_rel":0,"sc":0},"allocs":18,"races":0,"steps":66}"#,
             clauses: &[("ARC-UAF", 6)],
         },
     );
     let cfg = recorded();
     assert_golden_bundle(
         "RelaxedArc",
-        |s| arc(&cfg, RelaxedArc::new, s),
+        |s| arc(&cfg, buggy::relaxed_arc, s),
         check_arc_consistent,
     );
 }

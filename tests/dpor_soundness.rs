@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 use compass::checker::{check_executions_with, CheckOptions, Exploration};
 use compass::queue_spec::check_queue_consistent;
-use compass_repro::structures::buggy::RelaxedMsQueue;
+use compass_repro::structures::buggy::relaxed_ms_queue;
 use compass_repro::structures::clients::{check_mp, run_mp};
 use compass_repro::structures::queue::{HwQueue, ModelQueue, MsQueue};
 use orc11::litmus::{gallery, Litmus};
@@ -172,12 +172,12 @@ fn check_relaxed_queue(dpor: bool, threads: usize) -> compass::checker::CheckRep
             run_model(
                 &Config::default(),
                 strategy,
-                RelaxedMsQueue::new,
+                relaxed_ms_queue,
                 vec![
-                    Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                         q.enqueue(ctx, Val::Int(1));
                     }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                         q.try_dequeue(ctx);
                     }),
                 ],

@@ -12,8 +12,8 @@ use std::sync::Mutex;
 
 use compass::checker::{check_executions_with, CheckOptions, Exploration};
 use compass::queue_spec::check_queue_consistent;
-use compass_repro::structures::buggy::RelaxedMsQueue;
-use compass_repro::structures::queue::ModelQueue;
+use compass_repro::structures::buggy::relaxed_ms_queue;
+use compass_repro::structures::queue::{ModelQueue, MsQueue};
 use orc11::litmus::{gallery, Litmus};
 use orc11::{
     run_model, BodyFn, Config, Explorer, Json, Loc, Mode, RunOutcome, ThreadCtx, Val, WorkSpec,
@@ -144,12 +144,12 @@ fn check_buggy_queue(exploration: &Exploration, threads: usize) -> String {
             run_model(
                 &Config::default(),
                 strategy,
-                RelaxedMsQueue::new,
+                relaxed_ms_queue,
                 vec![
-                    Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                         q.enqueue(ctx, Val::Int(1));
                     }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                         q.try_dequeue(ctx);
                     }),
                 ],
@@ -277,12 +277,12 @@ fn tracing_on_and_off_runs_are_byte_identical() {
                 run_model(
                     &Config::default(),
                     strategy,
-                    RelaxedMsQueue::new,
+                    relaxed_ms_queue,
                     vec![
-                        Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                        Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                             q.enqueue(ctx, Val::Int(1));
                         }) as BodyFn<'_, _, ()>,
-                        Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                        Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                             q.try_dequeue(ctx);
                         }),
                     ],

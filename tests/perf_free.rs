@@ -28,8 +28,8 @@ use std::sync::Mutex;
 use compass::checker::{check_executions_with, CheckOptions, Exploration};
 use compass::queue_spec::check_queue_consistent;
 use compass_native::perf::{self, LatencyHist, OpKind};
-use compass_repro::structures::buggy::RelaxedMsQueue;
-use compass_repro::structures::queue::ModelQueue;
+use compass_repro::structures::buggy::relaxed_ms_queue;
+use compass_repro::structures::queue::{ModelQueue, MsQueue};
 use orc11::{run_model, BodyFn, Config, Json, ThreadCtx};
 
 /// Serializes the perf session (a global) across this binary's tests.
@@ -89,12 +89,12 @@ fn check_buggy_queue(
             run_model(
                 &Config::default(),
                 strategy,
-                RelaxedMsQueue::new,
+                relaxed_ms_queue,
                 vec![
-                    Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                         q.enqueue(ctx, orc11::Val::Int(1));
                     }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                         q.try_dequeue(ctx);
                     }),
                 ],

@@ -9,7 +9,7 @@
 //! * The deliberately weakened variants fail the graph conditions, each
 //!   on its specific clause.
 
-use compass_repro::structures::buggy::{RelaxedHwQueue, RelaxedMsQueue};
+use compass_repro::structures::buggy::{relaxed_hw_queue, relaxed_ms_queue};
 use compass_repro::structures::queue::{HwQueue, MsQueue};
 
 use compass::abs::replay_commit_order;
@@ -88,10 +88,10 @@ fn buggy_variants_fall_off_the_hierarchy() {
     let mut ms_bad = 0;
     let mut hw_bad = 0;
     for seed in 0..300 {
-        if check_queue_consistent(&run_workload(RelaxedMsQueue::new, seed)).is_err() {
+        if check_queue_consistent(&run_workload(relaxed_ms_queue, seed)).is_err() {
             ms_bad += 1;
         }
-        if check_queue_consistent(&run_workload(|ctx| RelaxedHwQueue::new(ctx, 8), seed)).is_err() {
+        if check_queue_consistent(&run_workload(|ctx| relaxed_hw_queue(ctx, 8), seed)).is_err() {
             hw_bad += 1;
         }
     }

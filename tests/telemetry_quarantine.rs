@@ -19,8 +19,8 @@ use std::sync::{Mutex, PoisonError};
 
 use compass::checker::{check_executions_with, CheckOptions, Exploration};
 use compass::queue_spec::check_queue_consistent;
-use compass_repro::structures::buggy::RelaxedMsQueue;
-use compass_repro::structures::queue::ModelQueue;
+use compass_repro::structures::buggy::relaxed_ms_queue;
+use compass_repro::structures::queue::{ModelQueue, MsQueue};
 use orc11::litmus::{gallery, Litmus};
 use orc11::{run_model, telemetry, BodyFn, Config, Explorer, Json, Mode, ThreadCtx, Val, WorkSpec};
 
@@ -86,12 +86,12 @@ fn buggy_queue_run(
             run_model(
                 &Config::default(),
                 strategy,
-                RelaxedMsQueue::new,
+                relaxed_ms_queue,
                 vec![
-                    Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                         q.enqueue(ctx, Val::Int(1));
                     }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, q: &RelaxedMsQueue| {
+                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
                         q.try_dequeue(ctx);
                     }),
                 ],
