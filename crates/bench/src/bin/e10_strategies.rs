@@ -13,13 +13,10 @@ use compass::Graph;
 use compass_bench::metrics::Metrics;
 use compass_bench::table::Table;
 use compass_structures::buggy::relaxed_hw_queue;
+use compass_structures::clients::{run_client, FLAG_ORDERED_ENQS, OWNER_THIEVES};
 use compass_structures::deque::ChaseLevDeque;
-use compass_structures::queue::{HwQueue, ModelQueue};
 use orc11::Json;
-use orc11::{
-    run_model, BodyFn, Config, Explorer, Loc, Mode, Model, RunOutcome, Strategy, ThreadCtx, Val,
-    WorkSpec,
-};
+use orc11::{Config, Explorer, Model, RunOutcome, Strategy, ThreadCtx, WorkSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// PCT scheduling-decision horizon for these 3-thread subjects.
@@ -28,54 +25,15 @@ const HORIZON: u64 = 40;
 fn weak_deque_program(
     strategy: Box<dyn Strategy>,
 ) -> RunOutcome<Graph<compass::deque_spec::DequeEvent>> {
-    run_model(
-        &Config::default(),
-        strategy,
-        |ctx| ChaseLevDeque::new_weak_fences(ctx, 8),
-        vec![
-            Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                d.push(ctx, Val::Int(1));
-                d.push(ctx, Val::Int(2));
-                d.pop(ctx);
-                d.pop(ctx);
-            }) as BodyFn<'_, _, ()>,
-            Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                d.steal(ctx);
-            }),
-            Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                d.steal(ctx);
-            }),
-        ],
-        |_, d, _| d.obj().snapshot(),
-    )
+    let make = |ctx: &mut ThreadCtx| ChaseLevDeque::new_weak_fences(ctx, 8);
+    run_client(&Config::default(), make, &OWNER_THIEVES, strategy)
 }
 
 fn weak_hw_program(
     strategy: Box<dyn Strategy>,
 ) -> RunOutcome<Graph<compass::queue_spec::QueueEvent>> {
-    run_model(
-        &Config::default(),
-        strategy,
-        |ctx| {
-            let q = relaxed_hw_queue(ctx, 4);
-            let flag = ctx.alloc("flag", Val::Int(0));
-            (q, flag)
-        },
-        vec![
-            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(HwQueue, Loc)| {
-                q.enqueue(ctx, Val::Int(10));
-                ctx.write(*flag, Val::Int(1), Mode::Release);
-            }) as BodyFn<'_, _, ()>,
-            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(HwQueue, Loc)| {
-                ctx.read_await(*flag, Mode::Acquire, |v| v == Val::Int(1));
-                q.enqueue(ctx, Val::Int(20));
-            }),
-            Box::new(|ctx: &mut ThreadCtx, (q, _): &(HwQueue, Loc)| {
-                q.try_dequeue(ctx);
-            }),
-        ],
-        |_, (q, _), _| q.obj().snapshot(),
-    )
+    let make = |ctx: &mut ThreadCtx| relaxed_hw_queue(ctx, 4);
+    run_client(&Config::default(), make, &FLAG_ORDERED_ENQS, strategy)
 }
 
 /// Executions (out of `spec`) whose graph fails `buggy`'s check, plus

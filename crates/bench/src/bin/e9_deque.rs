@@ -10,8 +10,9 @@ use compass::deque_spec::{check_deque_consistent, mutator_subgraph, DequeInterp}
 use compass::history::find_linearization;
 use compass_bench::metrics::Metrics;
 use compass_bench::table::Table;
+use compass_structures::clients::{run_client, OWNER_THIEVES};
 use compass_structures::deque::ChaseLevDeque;
-use orc11::{random_strategy, run_model, BodyFn, Config, Json, ThreadCtx, Val};
+use orc11::{random_strategy, Config, Json, ThreadCtx};
 
 struct Row {
     consistent: u64,
@@ -38,25 +39,12 @@ fn run(make: impl Fn(&mut ThreadCtx, u32) -> ChaseLevDeque + Sync, seeds: u64) -
         errors: 0,
     };
     for seed in 0..seeds {
-        let out = run_model(
+        let deque = |ctx: &mut ThreadCtx| make(ctx, 8);
+        let out = run_client(
             &Config::default(),
+            deque,
+            &OWNER_THIEVES,
             random_strategy(seed),
-            |ctx| make(ctx, 8),
-            vec![
-                Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                    d.push(ctx, Val::Int(1));
-                    d.push(ctx, Val::Int(2));
-                    d.pop(ctx);
-                    d.pop(ctx);
-                }) as BodyFn<'_, _, ()>,
-                Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                    d.steal(ctx);
-                }),
-                Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                    d.steal(ctx);
-                }),
-            ],
-            |_, d, _| d.obj().snapshot(),
         );
         match out.result {
             Err(_) => row.errors += 1,

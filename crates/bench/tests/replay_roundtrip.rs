@@ -11,40 +11,18 @@ use compass::checker::{check_executions_with, CheckOptions, Exploration};
 use compass::queue_spec::{check_queue_consistent, QueueEvent};
 use compass::Graph;
 use compass_structures::buggy::relaxed_hw_queue;
-use compass_structures::queue::{HwQueue, ModelQueue};
-use orc11::{
-    render_ops, run_model, BodyFn, Config, Loc, Mode, RunOutcome, Strategy, ThreadCtx, Val,
-};
+use compass_structures::clients::{run_client, FLAG_ORDERED_ENQS};
+use orc11::{render_ops, Config, RunOutcome, Strategy, ThreadCtx};
 
 /// The relaxed-tail Herlihy-Wing FIFO bug workload of E10, with the
 /// instruction log recorded so bundles carry a full oplog.
 fn program(strategy: Box<dyn Strategy>) -> RunOutcome<Graph<QueueEvent>> {
-    run_model(
-        &Config {
-            record_ops: true,
-            ..Config::default()
-        },
-        strategy,
-        |ctx| {
-            let q = relaxed_hw_queue(ctx, 4);
-            let flag = ctx.alloc("flag", Val::Int(0));
-            (q, flag)
-        },
-        vec![
-            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(HwQueue, Loc)| {
-                q.enqueue(ctx, Val::Int(10));
-                ctx.write(*flag, Val::Int(1), Mode::Release);
-            }) as BodyFn<'_, _, ()>,
-            Box::new(|ctx: &mut ThreadCtx, (q, flag): &(HwQueue, Loc)| {
-                ctx.read_await(*flag, Mode::Acquire, |v| v == Val::Int(1));
-                q.enqueue(ctx, Val::Int(20));
-            }),
-            Box::new(|ctx: &mut ThreadCtx, (q, _): &(HwQueue, Loc)| {
-                q.try_dequeue(ctx);
-            }),
-        ],
-        |_, (q, _), _| q.obj().snapshot(),
-    )
+    let cfg = Config {
+        record_ops: true,
+        ..Config::default()
+    };
+    let make = |ctx: &mut ThreadCtx| relaxed_hw_queue(ctx, 4);
+    run_client(&cfg, make, &FLAG_ORDERED_ENQS, strategy)
 }
 
 fn temp_root() -> PathBuf {

@@ -297,6 +297,21 @@ pub struct RunOutcome<R> {
     pub accesses: Vec<StepAccess>,
 }
 
+impl<R> RunOutcome<R> {
+    /// The same outcome with `f` applied to its result; an aborted
+    /// execution stays aborted.
+    pub fn map<T>(self, f: impl FnOnce(R) -> T) -> RunOutcome<T> {
+        RunOutcome {
+            result: self.result.map(f),
+            steps: self.steps,
+            trace: self.trace,
+            ops: self.ops,
+            stats: self.stats,
+            accesses: self.accesses,
+        }
+    }
+}
+
 fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()

@@ -229,31 +229,17 @@ mod tests {
     use compass::arc_spec::{check_arc_consistent, check_arc_consistent_prefixes};
     use orc11::{random_strategy, run_model, BodyFn, Config};
 
+    use crate::clients::{run_client_outs, ARC_CLONE_DROPS};
+
     #[test]
     fn concurrent_drops_are_consistent_and_race_free() {
         for seed in 0..60 {
-            let out = run_model(
-                &Config::default(),
-                random_strategy(seed),
-                |ctx| {
-                    let a = ModelArc::new(ctx, Val::Int(42));
-                    a.clone_ref(ctx); // strong = 2: one ref per body thread.
-                    a
-                },
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, a: &ModelArc| {
-                        assert_eq!(a.load(ctx), Val::Int(42));
-                        a.drop_ref(ctx);
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, a: &ModelArc| {
-                        a.clone_ref(ctx);
-                        a.drop_ref(ctx);
-                        a.drop_ref(ctx);
-                    }),
-                ],
-                |_, a, _| a.obj().snapshot(),
-            );
-            let g = out.result.unwrap();
+            // The client's setup clones: strong = 2, one ref per thread.
+            let make = |ctx: &mut ThreadCtx| ModelArc::new(ctx, Val::Int(42));
+            let strategy = random_strategy(seed);
+            let out = run_client_outs(&Config::default(), make, &ARC_CLONE_DROPS, strategy);
+            let (g, outs) = out.result.unwrap();
+            assert_eq!(outs[0], Some(Val::Int(42)));
             check_arc_consistent(&g).unwrap();
             check_arc_consistent_prefixes(&g).unwrap();
             // Both strong refs dropped: exactly one DropLast + Dealloc.

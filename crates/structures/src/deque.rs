@@ -210,6 +210,8 @@ mod tests {
     use compass::history::{find_linearization, validate_linearization};
     use orc11::{random_strategy, run_model, BodyFn, Config};
 
+    use crate::clients::{run_client, OWNER_THIEVES};
+
     #[test]
     fn owner_lifo_sequentially() {
         let out = run_model(
@@ -256,25 +258,12 @@ mod tests {
     #[test]
     fn concurrent_owner_and_thieves_consistent() {
         for seed in 0..200 {
-            let out = run_model(
+            let make = |ctx: &mut ThreadCtx| ChaseLevDeque::new(ctx, 8);
+            let out = run_client(
                 &Config::default(),
+                make,
+                &OWNER_THIEVES,
                 random_strategy(seed),
-                |ctx| ChaseLevDeque::new(ctx, 8),
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                        d.push(ctx, Val::Int(1));
-                        d.push(ctx, Val::Int(2));
-                        d.pop(ctx);
-                        d.pop(ctx);
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                        d.steal(ctx);
-                    }),
-                    Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                        d.steal(ctx);
-                    }),
-                ],
-                |_, d, _| d.obj().snapshot(),
             );
             let g = out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             check_deque_consistent(&g).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
@@ -297,26 +286,9 @@ mod tests {
         // of the time; PCT with depth 3 finds it ~4% of the time.
         let mut violations = 0;
         for seed in 0..600 {
-            let out = run_model(
-                &Config::default(),
-                orc11::pct_strategy(seed, 3, 40),
-                |ctx| ChaseLevDeque::new_weak_fences(ctx, 8),
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                        d.push(ctx, Val::Int(1));
-                        d.push(ctx, Val::Int(2));
-                        d.pop(ctx);
-                        d.pop(ctx);
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                        d.steal(ctx);
-                    }),
-                    Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                        d.steal(ctx);
-                    }),
-                ],
-                |_, d, _| d.obj().snapshot(),
-            );
+            let make = |ctx: &mut ThreadCtx| ChaseLevDeque::new_weak_fences(ctx, 8);
+            let strategy = orc11::pct_strategy(seed, 3, 40);
+            let out = run_client(&Config::default(), make, &OWNER_THIEVES, strategy);
             let g = out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             if check_deque_consistent(&g).is_err() {
                 violations += 1;

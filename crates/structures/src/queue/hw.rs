@@ -198,6 +198,8 @@ mod tests {
     use compass::queue_spec::check_queue_consistent;
     use orc11::{random_strategy, run_model, BodyFn, Config};
 
+    use crate::clients::{run_client, PRODUCERS_CONSUMER};
+
     #[test]
     fn sequential_fifo() {
         let out = run_model(
@@ -224,28 +226,15 @@ mod tests {
     #[test]
     fn concurrent_runs_satisfy_lat_hb() {
         for seed in 0..60 {
-            let out = run_model(
+            let make = |ctx: &mut ThreadCtx| HwQueue::new(ctx, 8);
+            let out = run_client(
                 &Config::default(),
+                make,
+                &PRODUCERS_CONSUMER,
                 random_strategy(seed),
-                |ctx| HwQueue::new(ctx, 8),
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, q: &HwQueue| {
-                        q.enqueue(ctx, Val::Int(10));
-                        q.enqueue(ctx, Val::Int(11));
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, q: &HwQueue| {
-                        q.enqueue(ctx, Val::Int(20));
-                    }),
-                    Box::new(|ctx: &mut ThreadCtx, q: &HwQueue| {
-                        q.try_dequeue(ctx);
-                        q.try_dequeue(ctx);
-                    }),
-                ],
-                |_, q, _| {
-                    check_queue_consistent(&q.obj().snapshot()).expect("QueueConsistent");
-                },
             );
-            out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let g = out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            check_queue_consistent(&g).expect("QueueConsistent");
         }
     }
 

@@ -224,6 +224,8 @@ mod tests {
     use compass::queue_spec::check_queue_consistent;
     use orc11::{random_strategy, run_model, BodyFn, Config};
 
+    use crate::clients::{run_client, PRODUCERS_CONSUMER};
+
     #[test]
     fn sequential_fifo() {
         let out = run_model(
@@ -249,31 +251,17 @@ mod tests {
     #[test]
     fn concurrent_producers_consumers_are_consistent() {
         for seed in 0..60 {
-            let out = run_model(
+            let strategy = random_strategy(seed);
+            let out = run_client(
                 &Config::default(),
-                random_strategy(seed),
                 MsQueue::new,
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
-                        q.enqueue(ctx, Val::Int(10));
-                        q.enqueue(ctx, Val::Int(11));
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
-                        q.enqueue(ctx, Val::Int(20));
-                    }),
-                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
-                        q.try_dequeue(ctx);
-                        q.try_dequeue(ctx);
-                    }),
-                ],
-                |_, q, _| {
-                    let g = q.obj().snapshot();
-                    check_queue_consistent(&g).expect("QueueConsistent");
-                    // LAT_hb^abs: the commit order is a linearization.
-                    replay_commit_order(&g, &QueueInterp).expect("abs replay");
-                },
+                &PRODUCERS_CONSUMER,
+                strategy,
             );
-            out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let g = out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            check_queue_consistent(&g).expect("QueueConsistent");
+            // LAT_hb^abs: the commit order is a linearization.
+            replay_commit_order(&g, &QueueInterp).expect("abs replay");
         }
     }
 

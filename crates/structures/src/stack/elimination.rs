@@ -218,16 +218,19 @@ impl ModelStack for ElimStack {
 mod tests {
     use super::*;
     use compass::exchanger_spec::check_exchanger_consistent;
+    use compass::exchanger_spec::ExchangeEvent;
     use compass::history::{check_linearizable, StackInterp};
     use compass::stack_spec::check_stack_consistent;
+    use compass::Graph;
     use orc11::{random_strategy, run_model, BodyFn, Config};
 
-    fn check_all(s: &ElimStack) {
-        let g = s.obj().snapshot();
-        check_stack_consistent(&g).expect("ES StackConsistent");
-        check_linearizable(&g, &StackInterp).expect("ES linearizable");
-        check_stack_consistent(&s.base_obj().snapshot()).expect("base StackConsistent");
-        check_exchanger_consistent(&s.exchanger_obj().snapshot()).expect("ExchangerConsistent");
+    use crate::clients::{run_client, Object, ELIM_MIXED};
+
+    fn check_all((es, base, ex): &(Graph<StackEvent>, Graph<StackEvent>, Graph<ExchangeEvent>)) {
+        check_stack_consistent(es).expect("ES StackConsistent");
+        check_linearizable(es, &StackInterp).expect("ES linearizable");
+        check_stack_consistent(base).expect("base StackConsistent");
+        check_exchanger_consistent(ex).expect("ExchangerConsistent");
     }
 
     #[test]
@@ -243,7 +246,7 @@ mod tests {
                 assert_eq!(s.pop(ctx).0, Some(Val::Int(2)));
                 assert_eq!(s.pop(ctx).0, Some(Val::Int(1)));
                 assert_eq!(s.pop(ctx).0, None);
-                check_all(s);
+                check_all(&s.graph());
             },
         );
         out.result.unwrap();
@@ -253,33 +256,14 @@ mod tests {
     fn concurrent_push_pop_consistent() {
         let mut eliminations = 0u64;
         for seed in 0..120 {
-            let out = run_model(
-                &Config::default(),
-                random_strategy(seed),
-                |ctx| ElimStack::new(ctx, 3),
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, s: &ElimStack| {
-                        s.push(ctx, Val::Int(10));
-                        s.push(ctx, Val::Int(11));
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, s: &ElimStack| {
-                        s.pop(ctx);
-                        s.pop(ctx);
-                    }),
-                    Box::new(|ctx: &mut ThreadCtx, s: &ElimStack| {
-                        s.push(ctx, Val::Int(30));
-                        s.pop(ctx);
-                    }),
-                ],
-                |_, s, _| {
-                    check_all(s);
-                    // Count eliminated pairs: ES events not born from base.
-                    let base_events = s.from_base.lock().len() as u64;
-                    let es_events = s.obj().snapshot().len() as u64;
-                    es_events - base_events
-                },
-            );
-            eliminations += out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let make = |ctx: &mut ThreadCtx| ElimStack::new(ctx, 3);
+            let out = run_client(&Config::default(), make, &ELIM_MIXED, random_strategy(seed));
+            let graphs = out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            check_all(&graphs);
+            // Count eliminated pairs: ES events not born from base (every
+            // base event is born with one ES event).
+            let (es, base, _) = graphs;
+            eliminations += (es.len() - base.len()) as u64;
         }
         assert!(
             eliminations > 0,

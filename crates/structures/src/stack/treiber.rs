@@ -211,6 +211,8 @@ mod tests {
     use compass::stack_spec::check_stack_consistent;
     use orc11::{random_strategy, run_model, BodyFn, Config};
 
+    use crate::clients::{run_client, STACK_MIXED};
+
     #[test]
     fn sequential_lifo() {
         let out = run_model(
@@ -237,32 +239,17 @@ mod tests {
     #[test]
     fn concurrent_runs_satisfy_lat_hist() {
         for seed in 0..60 {
-            let out = run_model(
+            let strategy = random_strategy(seed);
+            let out = run_client(
                 &Config::default(),
-                random_strategy(seed),
                 TreiberStack::new,
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, s: &TreiberStack| {
-                        s.push(ctx, Val::Int(10));
-                        s.push(ctx, Val::Int(11));
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, s: &TreiberStack| {
-                        s.push(ctx, Val::Int(20));
-                        s.pop(ctx);
-                    }),
-                    Box::new(|ctx: &mut ThreadCtx, s: &TreiberStack| {
-                        s.pop(ctx);
-                        s.pop(ctx);
-                    }),
-                ],
-                |_, s, _| {
-                    let g = s.obj().snapshot();
-                    check_stack_consistent(&g).expect("StackConsistent");
-                    // LAT_hb^hist: a linearization respecting lhb exists.
-                    check_linearizable(&g, &StackInterp).expect("linearizable history");
-                },
+                &STACK_MIXED,
+                strategy,
             );
-            out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let g = out.result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            check_stack_consistent(&g).expect("StackConsistent");
+            // LAT_hb^hist: a linearization respecting lhb exists.
+            check_linearizable(&g, &StackInterp).expect("linearizable history");
         }
     }
 

@@ -11,38 +11,26 @@
 use compass::deque_spec::{check_deque_consistent, mutator_subgraph, DequeInterp};
 use compass::history::find_linearization;
 use compass_repro::native::{chase_lev, Steal};
+use compass_repro::structures::clients::{run_client, OWNER_THIEVES};
 use compass_repro::structures::deque::ChaseLevDeque;
-use orc11::{pct_strategy, run_model, BodyFn, Config, ThreadCtx, Val};
+use orc11::{pct_strategy, Config, ThreadCtx};
 
 fn check_model(weak: bool, seeds: u64) -> (u64, u64) {
     let mut consistent = 0;
     let mut violations = 0;
     for seed in 0..seeds {
-        let out = run_model(
+        let make = |ctx: &mut ThreadCtx| {
+            if weak {
+                ChaseLevDeque::new_weak_fences(ctx, 8)
+            } else {
+                ChaseLevDeque::new(ctx, 8)
+            }
+        };
+        let out = run_client(
             &Config::default(),
+            make,
+            &OWNER_THIEVES,
             pct_strategy(seed, 3, 40),
-            |ctx| {
-                if weak {
-                    ChaseLevDeque::new_weak_fences(ctx, 8)
-                } else {
-                    ChaseLevDeque::new(ctx, 8)
-                }
-            },
-            vec![
-                Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                    d.push(ctx, Val::Int(1));
-                    d.push(ctx, Val::Int(2));
-                    d.pop(ctx);
-                    d.pop(ctx);
-                }) as BodyFn<'_, _, ()>,
-                Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                    d.steal(ctx);
-                }),
-                Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                    d.steal(ctx);
-                }),
-            ],
-            |_, d, _| d.obj().snapshot(),
         );
         if let Ok(g) = out.result {
             if check_deque_consistent(&g).is_ok()

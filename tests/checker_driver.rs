@@ -5,28 +5,9 @@
 use compass::checker::{check_executions, CheckReport, Exploration};
 use compass::queue_spec::check_queue_consistent;
 use compass_repro::structures::buggy::relaxed_ms_queue;
+use compass_repro::structures::clients::{run_client, ENQ_DEQ};
 use compass_repro::structures::queue::{ModelQueue, MsQueue};
-use orc11::{run_model, BodyFn, Config, Strategy, ThreadCtx, Val};
-
-fn queue_program<Q: ModelQueue>(
-    make: impl Fn(&mut ThreadCtx) -> Q + Send + Sync,
-    strategy: Box<dyn Strategy>,
-) -> orc11::RunOutcome<compass::Graph<compass::queue_spec::QueueEvent>> {
-    run_model(
-        &Config::default(),
-        strategy,
-        |ctx| make(ctx),
-        vec![
-            Box::new(|ctx: &mut ThreadCtx, q: &Q| {
-                q.enqueue(ctx, Val::Int(1));
-            }) as BodyFn<'_, _, ()>,
-            Box::new(|ctx: &mut ThreadCtx, q: &Q| {
-                q.try_dequeue(ctx);
-            }),
-        ],
-        |_, q, _| q.obj().snapshot(),
-    )
-}
+use orc11::{Config, ThreadCtx};
 
 fn explore<Q: ModelQueue>(
     make: impl Fn(&mut ThreadCtx) -> Q + Copy + Send + Sync,
@@ -34,7 +15,7 @@ fn explore<Q: ModelQueue>(
 ) -> CheckReport {
     check_executions(
         e,
-        |strategy| queue_program(make, strategy),
+        |strategy| run_client(&Config::default(), make, &ENQ_DEQ, strategy),
         check_queue_consistent,
     )
 }

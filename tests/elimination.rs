@@ -5,7 +5,8 @@
 use compass::exchanger_spec::check_exchanger_consistent;
 use compass::history::{check_linearizable, StackInterp};
 use compass::stack_spec::{check_stack_consistent, StackEvent};
-use compass_repro::structures::stack::{ElimStack, ModelStack, TryPop};
+use compass_repro::structures::clients::{run_client, ELIM_MIXED};
+use compass_repro::structures::stack::{ElimStack, TryPop};
 use orc11::{random_strategy, run_model, BodyFn, Config, ThreadCtx, Val};
 
 type Graphs = (
@@ -15,34 +16,10 @@ type Graphs = (
 );
 
 fn run_es(seed: u64, patience: u32) -> Graphs {
-    run_model(
-        &Config::default(),
-        random_strategy(seed),
-        |ctx| ElimStack::new(ctx, patience),
-        vec![
-            Box::new(|ctx: &mut ThreadCtx, s: &ElimStack| {
-                s.push(ctx, Val::Int(10));
-                s.push(ctx, Val::Int(11));
-            }) as BodyFn<'_, _, ()>,
-            Box::new(|ctx: &mut ThreadCtx, s: &ElimStack| {
-                s.pop(ctx);
-                s.pop(ctx);
-            }),
-            Box::new(|ctx: &mut ThreadCtx, s: &ElimStack| {
-                s.push(ctx, Val::Int(30));
-                s.pop(ctx);
-            }),
-        ],
-        |_, s, _| {
-            (
-                s.obj().snapshot(),
-                s.base_obj().snapshot(),
-                s.exchanger_obj().snapshot(),
-            )
-        },
-    )
-    .result
-    .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+    let make = |ctx: &mut ThreadCtx| ElimStack::new(ctx, patience);
+    run_client(&Config::default(), make, &ELIM_MIXED, random_strategy(seed))
+        .result
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
 }
 
 #[test]

@@ -12,11 +12,14 @@ use compass::history::{find_linearization, QueueInterp, StackInterp};
 use compass::queue_spec::check_queue_consistent_prefixes;
 use compass::spec::Violation;
 use compass::stack_spec::check_stack_consistent_prefixes;
+use compass_repro::structures::clients::{
+    run_client, ENQ_DEQ, ENQ_DEQ_DEQ, EXCHANGE_PAIR, PUSH_POP, PUSH_POP_STEAL,
+};
 use compass_repro::structures::deque::ChaseLevDeque;
 use compass_repro::structures::exchanger::Exchanger;
-use compass_repro::structures::queue::{HwQueue, ModelQueue, MsQueue};
-use compass_repro::structures::stack::{ModelStack, TreiberStack};
-use orc11::{run_model, BodyFn, Config, ThreadCtx, Val};
+use compass_repro::structures::queue::{HwQueue, MsQueue};
+use compass_repro::structures::stack::TreiberStack;
+use orc11::Config;
 
 const DFS: Exploration = Exploration::Dfs { budget: 400_000 };
 
@@ -28,22 +31,7 @@ fn lin_violation() -> Violation {
 fn ms_queue_one_enq_one_deq_exhaustive() {
     let report = check_executions(
         &DFS,
-        |strategy| {
-            run_model(
-                &Config::default(),
-                strategy,
-                MsQueue::new,
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
-                        q.enqueue(ctx, Val::Int(1));
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, q: &MsQueue| {
-                        q.try_dequeue(ctx);
-                    }),
-                ],
-                |_, q, _| q.obj().snapshot(),
-            )
-        },
+        |strategy| run_client(&Config::default(), MsQueue::new, &ENQ_DEQ, strategy),
         |g| {
             check_queue_consistent_prefixes(g)?;
             compass::abs::replay_commit_order(g, &QueueInterp)?;
@@ -65,22 +53,11 @@ fn hw_queue_one_enq_two_deq_exhaustive() {
     let report = check_executions(
         &DFS,
         |strategy| {
-            run_model(
+            run_client(
                 &Config::default(),
-                strategy,
                 |ctx| HwQueue::new(ctx, 2),
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, q: &HwQueue| {
-                        q.enqueue(ctx, Val::Int(1));
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, q: &HwQueue| {
-                        q.try_dequeue(ctx);
-                    }),
-                    Box::new(|ctx: &mut ThreadCtx, q: &HwQueue| {
-                        q.try_dequeue(ctx);
-                    }),
-                ],
-                |_, q, _| q.obj().snapshot(),
+                &ENQ_DEQ_DEQ,
+                strategy,
             )
         },
         check_queue_consistent_prefixes,
@@ -93,22 +70,7 @@ fn hw_queue_one_enq_two_deq_exhaustive() {
 fn treiber_one_push_one_pop_exhaustive() {
     let report = check_executions(
         &DFS,
-        |strategy| {
-            run_model(
-                &Config::default(),
-                strategy,
-                TreiberStack::new,
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, s: &TreiberStack| {
-                        s.push(ctx, Val::Int(1));
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, s: &TreiberStack| {
-                        s.pop(ctx);
-                    }),
-                ],
-                |_, s, _| s.obj().snapshot(),
-            )
-        },
+        |strategy| run_client(&Config::default(), TreiberStack::new, &PUSH_POP, strategy),
         |g| {
             check_stack_consistent_prefixes(g)?;
             find_linearization(g, &StackInterp, &[])
@@ -124,22 +86,7 @@ fn treiber_one_push_one_pop_exhaustive() {
 fn exchanger_pair_exhaustive() {
     let report = check_executions(
         &DFS,
-        |strategy| {
-            run_model(
-                &Config::default(),
-                strategy,
-                Exchanger::new,
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, x: &Exchanger| {
-                        x.exchange(ctx, Val::Int(1), 1);
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, x: &Exchanger| {
-                        x.exchange(ctx, Val::Int(2), 1);
-                    }),
-                ],
-                |_, x, _| x.obj().snapshot(),
-            )
-        },
+        |strategy| run_client(&Config::default(), Exchanger::new, &EXCHANGE_PAIR, strategy),
         check_exchanger_consistent,
     );
     assert!(report.exhausted, "should exhaust: {report}");
@@ -151,20 +98,11 @@ fn chase_lev_push_pop_steal_exhaustive() {
     let report = check_executions(
         &DFS,
         |strategy| {
-            run_model(
+            run_client(
                 &Config::default(),
-                strategy,
                 |ctx| ChaseLevDeque::new(ctx, 2),
-                vec![
-                    Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                        d.push(ctx, Val::Int(1));
-                        d.pop(ctx);
-                    }) as BodyFn<'_, _, ()>,
-                    Box::new(|ctx: &mut ThreadCtx, d: &ChaseLevDeque| {
-                        d.steal(ctx);
-                    }),
-                ],
-                |_, d, _| d.obj().snapshot(),
+                &PUSH_POP_STEAL,
+                strategy,
             )
         },
         |g| {

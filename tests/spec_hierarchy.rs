@@ -10,36 +10,23 @@
 //!   on its specific clause.
 
 use compass_repro::structures::buggy::{relaxed_hw_queue, relaxed_ms_queue};
-use compass_repro::structures::queue::{HwQueue, MsQueue};
+use compass_repro::structures::clients::{run_client, QUEUE_MIXED};
+use compass_repro::structures::queue::{HwQueue, ModelQueue, MsQueue};
 
 use compass::abs::replay_commit_order;
 use compass::history::{find_linearization, QueueInterp};
 use compass::queue_spec::{check_queue_consistent, check_queue_consistent_prefixes};
-use orc11::{random_strategy, run_model, BodyFn, Config, ThreadCtx, Val};
+use orc11::{random_strategy, Config, ThreadCtx};
 
-fn run_workload<Q: compass_repro::structures::queue::ModelQueue>(
+fn run_workload<Q: ModelQueue>(
     make: impl Fn(&mut ThreadCtx) -> Q,
     seed: u64,
 ) -> compass::Graph<compass::queue_spec::QueueEvent> {
-    run_model(
+    run_client(
         &Config::default(),
+        make,
+        &QUEUE_MIXED,
         random_strategy(seed),
-        |ctx| make(ctx),
-        vec![
-            Box::new(|ctx: &mut ThreadCtx, q: &Q| {
-                q.enqueue(ctx, Val::Int(1));
-                q.enqueue(ctx, Val::Int(2));
-            }) as BodyFn<'_, _, ()>,
-            Box::new(|ctx: &mut ThreadCtx, q: &Q| {
-                q.enqueue(ctx, Val::Int(3));
-                q.try_dequeue(ctx);
-            }),
-            Box::new(|ctx: &mut ThreadCtx, q: &Q| {
-                q.try_dequeue(ctx);
-                q.try_dequeue(ctx);
-            }),
-        ],
-        |_, q, _| q.obj().snapshot(),
     )
     .result
     .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
