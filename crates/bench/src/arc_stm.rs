@@ -1,21 +1,110 @@
-//! [`ConformSubject`] drivers for the two native structures whose
-//! vocabularies are *not* produce/take — the [`ArcCell`] refcount and
-//! the [`Tml`] transactional store (DESIGN.md §12). Each stress-runs on
-//! real threads via the `compass-native` recorder, translating results
-//! into the event vocabularies the model checker already uses
-//! (`ArcEvent`, `StmEvent`). The produce/take libraries are described
-//! once in [`crate::roles`] instead.
+//! The Arc and TML subjects on both rails (DESIGN.md §12).
+//!
+//! Model rail: the exhaustive explorations of the model Arc and TML and
+//! their seeded controls, shared by `e14_arc_stm` and the soundness
+//! tests.
+//!
+//! Native rail: [`ConformSubject`] drivers for the two native structures
+//! whose vocabularies are *not* produce/take — the [`ArcCell`] refcount
+//! and the [`Tml`] transactional store. Each stress-runs on real threads
+//! via the `compass-native` recorder, translating results into the event
+//! vocabularies the model checker already uses (`ArcEvent`, `StmEvent`).
+//! The produce/take libraries are described once in [`crate::roles`]
+//! instead.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use compass::arc_spec::ArcEvent;
+use compass::arc_spec::{check_arc_consistent, ArcEvent};
+use compass::checker::{
+    check_executions_with, CheckOptions, CheckReport, CheckTarget, Exploration,
+};
 use compass::conform::{ConformSubject, History, RoundSpec};
-use compass::stm_spec::StmEvent;
+use compass::stm_spec::{check_stm_consistent, StmEvent};
+use compass::SpecResult;
 use compass_native::recorder::run_round;
 use compass_native::{Aborted, ArcCell, StrongDrop, Tml, TmlTxn, WeakArcCell, WeakTml};
-use orc11::Val;
+use compass_structures::arc::ModelArc;
+use compass_structures::buggy::{relaxed_arc, UnvalidatedTml};
+use compass_structures::clients::{
+    run_client, Client, Object, ARC_CLONE_DROPS, ARC_TWO_DROPS, TML_WRITER_READER,
+};
+use compass_structures::stm::ModelTml;
+use orc11::{Config, ThreadCtx, Val};
 
 use crate::roles::{round_value, to_history};
+
+// ---- the model-rail subjects ---------------------------------------------
+//
+// Small enough for exhaustive DFS, racy enough that the seeded bugs are
+// reachable.
+
+/// The DFS budget of the model-rail explorations (far above their trees).
+pub const MODEL_BUDGET: u64 = 500_000;
+
+/// Exhaustive DFS of `client` on `make`'s object, with or without DPOR,
+/// at `threads` checker threads.
+fn explore<O: Object>(
+    make: impl Fn(&mut ThreadCtx) -> O + Send + Sync,
+    client: &Client,
+    check: impl Fn(&O::Graph) -> SpecResult + Sync,
+    dpor: bool,
+    threads: usize,
+) -> CheckReport
+where
+    O::Graph: CheckTarget,
+{
+    let opts = CheckOptions {
+        threads,
+        dpor: Some(dpor),
+        ..CheckOptions::default()
+    };
+    check_executions_with(
+        &Exploration::Dfs {
+            budget: MODEL_BUDGET,
+        },
+        &opts,
+        |strategy| run_client(&Config::default(), &make, client, strategy),
+        check,
+    )
+}
+
+/// [`ModelArc`] under [`ARC_CLONE_DROPS`]: clean on every execution.
+pub fn explore_model_arc(dpor: bool, threads: usize) -> CheckReport {
+    let make = |ctx: &mut ThreadCtx| ModelArc::new(ctx, Val::Int(42));
+    explore(make, &ARC_CLONE_DROPS, check_arc_consistent, dpor, threads)
+}
+
+/// The relaxed-drop control under [`ARC_TWO_DROPS`]: `ARC-UAF`.
+pub fn explore_relaxed_arc(dpor: bool, threads: usize) -> CheckReport {
+    let make = |ctx: &mut ThreadCtx| relaxed_arc(ctx, Val::Int(42));
+    explore(make, &ARC_TWO_DROPS, check_arc_consistent, dpor, threads)
+}
+
+/// [`ModelTml`] under [`TML_WRITER_READER`]: clean on every execution.
+pub fn explore_model_stm(dpor: bool, threads: usize) -> CheckReport {
+    let make = |ctx: &mut ThreadCtx| ModelTml::new(ctx, 2);
+    explore(
+        make,
+        &TML_WRITER_READER,
+        check_stm_consistent,
+        dpor,
+        threads,
+    )
+}
+
+/// [`UnvalidatedTml`] under [`TML_WRITER_READER`]: `STM-RO`.
+pub fn explore_unvalidated_stm(dpor: bool, threads: usize) -> CheckReport {
+    let make = |ctx: &mut ThreadCtx| UnvalidatedTml::new(ctx, 2);
+    explore(
+        make,
+        &TML_WRITER_READER,
+        check_stm_consistent,
+        dpor,
+        threads,
+    )
+}
+
+// ---- the native subjects --------------------------------------------------
 
 /// The shared surface of [`ArcCell`] and its weakened control — every
 /// operation returns the observed old count(s) the refcount driver

@@ -28,6 +28,26 @@ fn loc(path: &Path) -> u64 {
     }
 }
 
+/// Non-blank, non-comment lines of the items of `path` whose first line
+/// starts with one of `items` (at column 0), each through its closing
+/// `}` or `};` line.
+fn items_loc(path: &Path, items: &[&str]) -> u64 {
+    let src = std::fs::read_to_string(path).unwrap_or_default();
+    let mut n = 0;
+    let mut inside = false;
+    for l in src.lines() {
+        inside = inside || items.iter().any(|i| l.starts_with(i));
+        if inside {
+            let t = l.trim();
+            if !t.is_empty() && !t.starts_with("//") {
+                n += 1;
+            }
+            inside = !(l == "}" || l == "};");
+        }
+    }
+    n
+}
+
 fn repo_root() -> PathBuf {
     // crates/bench → repo root.
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -77,14 +97,33 @@ fn main() {
         ),
         ("Spinlock", f("crates/structures/src/lock.rs")),
     ];
+    // Each client from its own definition: the program, its result and
+    // its postcondition check.
+    let clients_rs = root.join("crates/structures/src/clients.rs");
     let clients = [
         (
             "MP client (Fig. 1/3)",
-            f("crates/structures/src/clients.rs") / 2,
+            items_loc(
+                &clients_rs,
+                &[
+                    "pub const MP:",
+                    "pub const MP_RELAXED_FLAG:",
+                    "pub struct MpResult",
+                    "pub fn run_mp",
+                    "pub fn check_mp",
+                ],
+            ),
         ),
         (
             "SPSC client (§3.2)",
-            f("crates/structures/src/clients.rs") / 2,
+            items_loc(
+                &clients_rs,
+                &[
+                    "pub struct SpscResult",
+                    "pub fn run_spsc",
+                    "pub fn check_spsc",
+                ],
+            ),
         ),
     ];
 

@@ -1,7 +1,7 @@
 //! Model queues: Michael-Scott and Herlihy-Wing.
 
 pub(crate) mod hw;
-mod lockq;
+pub(crate) mod lockq;
 pub(crate) mod ms;
 mod spsc;
 
