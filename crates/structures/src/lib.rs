@@ -40,9 +40,11 @@
 //! weaker tables, and a test-only sweep weakens each site of each paper
 //! table one step to see which ones the specs need (EXPERIMENTS.md).
 //!
-//! [`clients`] contains the paper's client programs (the Message-Passing
-//! client of Figure 1/3 and the SPSC client of §3.2) as reusable model
-//! programs.
+//! [`clients`] states the client programs once, as values (per thread, a
+//! list of library ops — the Message-Passing client of Figure 1/3, the
+//! pin clients, …), with one driver that runs a client against any of
+//! these libraries; the SPSC client of §3.2 is a model program there
+//! too.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
