@@ -15,8 +15,6 @@
 //! Bundles go to `COMPASS_BUNDLE_DIR`, default
 //! `<results_dir>/conform-bundles`.
 
-use std::path::PathBuf;
-
 use compass::conform::{recheck, ConformOptions};
 use compass::queue_spec::QueueEvent;
 use compass_bench::metrics::Metrics;
@@ -69,9 +67,7 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(64);
-    let bundle_dir = std::env::var_os("COMPASS_BUNDLE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Metrics::results_dir().join("conform-bundles"));
+    let bundle_dir = Metrics::bundle_dir("conform-bundles");
     let seed = seed_from_env(1);
     let opts = ConformOptions {
         rounds,

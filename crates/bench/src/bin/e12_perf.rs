@@ -38,9 +38,8 @@ use std::time::{Duration, Instant};
 use compass_bench::metrics::Metrics;
 use compass_bench::perf::{curve_point_json, perf_json, structure_json};
 use compass_bench::roles::{registry, Body};
-use compass_bench::table::Table;
-use compass_bench::timing::{format_ns, LatencyHist};
-use compass_native::perf as nperf;
+use compass_bench::table::{format_ns, Table};
+use compass_native::perf::{self as nperf, LatencyHist};
 use compass_native::{ArcCell, Tml};
 use orc11::litmus::{gallery, Litmus};
 use orc11::{Json, ProgressLine};

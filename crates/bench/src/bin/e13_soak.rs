@@ -28,7 +28,6 @@
 //! default: CI machines are noisy).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use compass::conform::recheck;
 use compass::queue_spec::QueueEvent;
@@ -156,9 +155,7 @@ fn main() {
         });
     let seed = seed_from_env(0xC0FFEE);
     let strict = std::env::var("COMPASS_SOAK_STRICT").is_ok_and(|v| v == "1");
-    let bundle_dir = std::env::var_os("COMPASS_BUNDLE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Metrics::results_dir().join("soak-bundles"));
+    let bundle_dir = Metrics::bundle_dir("soak-bundles");
     m.param("epochs", epochs);
     m.param("rotate_ms", rotate_ms);
     m.param("threads", threads as u64);

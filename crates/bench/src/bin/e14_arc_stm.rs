@@ -27,7 +27,6 @@
 //! `<results_dir>/conform-bundles`.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 
 use compass::conform::{recheck, run_conformance, ConformOptions, ConformSubject};
 use compass::CheckReport;
@@ -273,9 +272,7 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(48);
-    let bundle_dir = std::env::var_os("COMPASS_BUNDLE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Metrics::results_dir().join("conform-bundles"));
+    let bundle_dir = Metrics::bundle_dir("conform-bundles");
     let seed = seed_from_env(1);
     m.param("budget", MODEL_BUDGET);
     m.param("rounds", rounds);

@@ -22,11 +22,9 @@
 //! perf bodies and `e13`'s soak loop are generic drivers over that one
 //! description.
 //!
-//! The `benches/` directory holds the performance benchmarks (P1 queues,
-//! P2 stacks, P3 checker throughput, P4 SPSC), built on the in-tree
-//! [`timing`] harness. `e12_perf`'s trajectory documents
-//! (`BENCH_<n>.json`, written by `scripts/run_bench.sh`) and their
-//! regression comparator (`bench_compare`) live in [`perf`].
+//! `e12_perf`'s trajectory documents (`BENCH_<n>.json`, written by
+//! `scripts/run_bench.sh`) and their regression comparator
+//! (`bench_compare`) live in [`perf`].
 
 #![warn(missing_docs)]
 
@@ -36,5 +34,4 @@ pub mod perf;
 pub mod roles;
 pub mod soak;
 pub mod table;
-pub mod timing;
 pub mod workloads;

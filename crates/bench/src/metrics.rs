@@ -233,6 +233,15 @@ impl Metrics {
             .unwrap_or_else(|| PathBuf::from("experiment-results"))
     }
 
+    /// Where an experiment binary writes replay bundles:
+    /// `COMPASS_BUNDLE_DIR`, or `default_subdir` under
+    /// [`Metrics::results_dir`].
+    pub fn bundle_dir(default_subdir: &str) -> PathBuf {
+        std::env::var_os("COMPASS_BUNDLE_DIR")
+            .map(PathBuf::from)
+            .unwrap_or_else(|| Self::results_dir().join(default_subdir))
+    }
+
     /// Writes `<results_dir>/<id>.json` (pretty-rendered) and returns the
     /// path.
     ///

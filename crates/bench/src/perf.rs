@@ -25,9 +25,8 @@
 
 use std::path::{Path, PathBuf};
 
+use compass_native::perf::LatencyHist;
 use orc11::Json;
-
-use crate::timing::LatencyHist;
 
 /// Version of the `BENCH_<n>.json` trajectory document format.
 pub const BENCH_SCHEMA: u64 = 1;

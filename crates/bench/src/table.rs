@@ -99,6 +99,19 @@ impl std::fmt::Display for Table {
     }
 }
 
+/// Human formatting for nanosecond durations (table cells).
+pub fn format_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.3} s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.3} ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.3} us", ns as f64 / 1e3)
+    } else {
+        format!("{ns} ns")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,5 +134,13 @@ mod tests {
         let mut t = Table::new(&["a", "b", "c"]);
         t.row_str(&["x"]);
         assert!(t.render().contains("| x | "));
+    }
+
+    #[test]
+    fn ns_formatting() {
+        assert_eq!(format_ns(12), "12 ns");
+        assert_eq!(format_ns(1_500), "1.500 us");
+        assert_eq!(format_ns(2_500_000), "2.500 ms");
+        assert_eq!(format_ns(3_000_000_000), "3.000 s");
     }
 }

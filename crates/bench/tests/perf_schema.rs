@@ -12,7 +12,7 @@ use compass_bench::perf::{
     bench_document, check_bench_doc, compare_bench_docs, compare_cli, curve_point_json, hist_json,
     perf_json, structure_json, trajectory_entries, BENCH_SCHEMA, REQUIRED_STRUCTURES,
 };
-use compass_bench::timing::LatencyHist;
+use compass_native::perf::LatencyHist;
 use orc11::Json;
 
 fn hist(values: &[u64]) -> LatencyHist {
@@ -339,7 +339,7 @@ fn compare_cli_exit_codes_match_the_contract() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// --- LatencyHist unit coverage (via the `timing` re-export) ---------
+// --- LatencyHist unit coverage -------------------------------------
 
 #[test]
 fn latency_hist_percentiles_track_a_sorted_vector_oracle() {

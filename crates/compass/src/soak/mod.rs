@@ -432,8 +432,8 @@ impl<E: SoakEvent> SoakEngine<E> {
     }
 
     /// Publishes the engine's accounting into the telemetry registry
-    /// (read by the sampler thread and the `/metrics` endpoint; stores
-    /// only, never read back — see `orc11::telemetry`).
+    /// (read by the sampler thread; stores only, never read back — see
+    /// `orc11::telemetry`).
     fn gauge_telemetry(&self) {
         let checked = lock(&self.shared.stats).checked;
         orc11::telemetry::gauge_soak(

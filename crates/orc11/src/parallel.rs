@@ -116,8 +116,8 @@ fn drive<M, S>(
             report.record(&desc, &out);
             sink.on_outcome(&desc, &out);
             // Live telemetry: a relaxed counter bump per execution, read
-            // by the sampler thread and the /metrics endpoint. Stores
-            // only — never an exploration decision (see crate::telemetry).
+            // by the sampler thread. Stores only — never an exploration
+            // decision (see crate::telemetry).
             crate::telemetry::count_exec();
             if trace::enabled() {
                 if let Some(r) = rate.tick() {

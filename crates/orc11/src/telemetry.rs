@@ -1,8 +1,6 @@
 //! Live telemetry bus: a process-wide snapshot registry of relaxed
 //! atomic gauges, a sampler thread that appends schema-versioned JSONL
-//! time-series samples (`COMPASS_TELEMETRY=<path>`), and a minimal
-//! hand-rolled `/metrics` HTTP exposition endpoint
-//! (`COMPASS_STATS_ADDR=host:port`, Prometheus text format).
+//! time-series samples (`COMPASS_TELEMETRY=<path>`).
 //!
 //! Where [`crate::trace`] records *what happened when* (a post-hoc
 //! timeline), this module answers *how far along are we right now*: the
@@ -10,22 +8,16 @@
 //! registry as they run — executions completed, DFS frontier depth,
 //! DPOR sleep hits, arena reuse, per-worker load balance, the
 //! online state-space [`crate::stats::Estimate`], soak epochs sealed/
-//! checked/shed and the sampling governor — and two read-only consumers
-//! turn the registry into output:
-//!
-//! 1. **The sampler thread** ([`start`], or `COMPASS_TELEMETRY=<path>`
-//!    via [`init_from_env`]): every `COMPASS_TELEMETRY_INTERVAL_MS`
-//!    milliseconds (default [`DEFAULT_INTERVAL_MS`]) it snapshots the
-//!    registry and appends one JSON object per line to the session file
-//!    — a `meta` header first, then `sample` lines, then one `final`
-//!    line written by [`finish`]. The stream is the time-series
-//!    counterpart of the one-shot metrics JSON and is structurally
-//!    validated by [`validate_telemetry_text`] (and by the
-//!    `trace_check --telemetry` CLI in CI).
-//! 2. **The `/metrics` endpoint** ([`start_stats`]): a single-threaded
-//!    `TcpListener` answering `GET /metrics` with the same snapshot in
-//!    Prometheus text exposition format, so multi-hour soak runs can be
-//!    scraped or watched with `curl` while they run.
+//! checked/shed and the sampling governor — and one read-only consumer
+//! turns the registry into output: the sampler thread ([`start`], or
+//! `COMPASS_TELEMETRY=<path>` via [`init_from_env`]). Every
+//! [`DEFAULT_INTERVAL_MS`] milliseconds it snapshots the registry and
+//! appends one JSON object per line to the session file — a `meta`
+//! header first, then `sample` lines, then one `final` line written by
+//! [`finish`]. The stream is the time-series counterpart of the one-shot
+//! metrics JSON and is structurally validated by
+//! [`validate_telemetry_text`] (and by the `trace_check --telemetry` CLI
+//! in CI).
 //!
 //! ## Determinism quarantine
 //!
@@ -38,8 +30,7 @@
 //! `tests/telemetry_quarantine.rs`.
 
 use std::fmt;
-use std::io::{self, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -52,7 +43,7 @@ use crate::stats::{Estimate, ReuseStats, WorkerStats};
 /// sample shape changes incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Default sampling interval (override: `COMPASS_TELEMETRY_INTERVAL_MS`).
+/// The sampler's interval, in milliseconds.
 pub const DEFAULT_INTERVAL_MS: u64 = 250;
 
 /// Registry slots for per-worker load-balance stats. Explorations are
@@ -63,8 +54,8 @@ const MAX_WORKER_SLOTS: usize = 64;
 // ---------------------------------------------------------------------
 // The snapshot registry: process-wide relaxed gauges. Always on — a
 // handful of relaxed stores per execution is far below measurement
-// noise, and keeping publication unconditional means the /metrics
-// endpoint can attach to an already-running process's counters.
+// noise, and keeping publication unconditional means a sampler session
+// started at any point sees the counters accumulated so far.
 
 static EXPLORE_EXECS: AtomicU64 = AtomicU64::new(0);
 static EST_PATHS: AtomicU64 = AtomicU64::new(0);
@@ -250,104 +241,6 @@ fn sample_json(kind: &str, seq: u64, t_ms: u64, snap: &Snapshot, prev: Option<&S
         )
 }
 
-/// Renders a snapshot in Prometheus text exposition format (what
-/// `GET /metrics` answers with).
-pub fn render_prometheus(s: &Snapshot) -> String {
-    let mut out = String::with_capacity(2048);
-    let mut gauge = |name: &str, help: &str, value: String| {
-        out.push_str("# HELP ");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(help);
-        out.push_str("\n# TYPE ");
-        out.push_str(name);
-        out.push_str(" gauge\n");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&value);
-        out.push('\n');
-    };
-    gauge(
-        "compass_explore_execs",
-        "Executions completed by the exploration engine",
-        s.execs.to_string(),
-    );
-    gauge(
-        "compass_frontier_depth",
-        "Current DFS frontier depth",
-        s.frontier_depth.to_string(),
-    );
-    gauge(
-        "compass_sleep_hits",
-        "DPOR sleep-set hits",
-        s.sleep_hits.to_string(),
-    );
-    gauge(
-        "compass_est_paths",
-        "Completed estimator paths",
-        s.est_paths.to_string(),
-    );
-    gauge(
-        "compass_est_total_execs",
-        "Estimated total executions in the current DFS tree",
-        s.est_total_execs.to_string(),
-    );
-    gauge(
-        "compass_percent_complete",
-        "Estimated percent of the DFS tree visited",
-        format!("{}", s.percent_x1000 as f64 / 1000.0),
-    );
-    gauge(
-        "compass_reuse_arena_execs",
-        "Executions run on a warm arena",
-        s.reuse.arena_execs.to_string(),
-    );
-    gauge(
-        "compass_soak_epochs_sealed",
-        "Soak epochs sealed",
-        s.soak_sealed.to_string(),
-    );
-    gauge(
-        "compass_soak_epochs_checked",
-        "Soak epochs checked online",
-        s.soak_checked.to_string(),
-    );
-    gauge(
-        "compass_soak_epochs_shed",
-        "Soak epochs shed unchecked",
-        s.soak_shed.to_string(),
-    );
-    gauge(
-        "compass_soak_governor_per_mille",
-        "Soak sampling-governor duty cycle (per mille)",
-        s.soak_per_mille.to_string(),
-    );
-    gauge(
-        "compass_soak_ops",
-        "Soak operations recorded",
-        s.soak_ops.to_string(),
-    );
-    for (i, w) in s.workers.iter().enumerate() {
-        out.push_str(&format!(
-            "compass_worker_executed{{worker=\"{i}\"}} {}\n",
-            w.executed
-        ));
-        out.push_str(&format!(
-            "compass_worker_stolen{{worker=\"{i}\"}} {}\n",
-            w.stolen
-        ));
-        out.push_str(&format!(
-            "compass_worker_idle_waits{{worker=\"{i}\"}} {}\n",
-            w.idle_waits
-        ));
-        out.push_str(&format!(
-            "compass_worker_idle_wait_ns{{worker=\"{i}\"}} {}\n",
-            w.idle_wait_ns
-        ));
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // The sampler session.
 
@@ -366,17 +259,6 @@ static SESSION: Mutex<Option<Session>> = Mutex::new(None);
 
 fn lock_session() -> std::sync::MutexGuard<'static, Option<Session>> {
     SESSION.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The sampling interval: `COMPASS_TELEMETRY_INTERVAL_MS` if set and
-/// positive, else [`DEFAULT_INTERVAL_MS`].
-pub fn interval_from_env() -> Duration {
-    let ms = std::env::var("COMPASS_TELEMETRY_INTERVAL_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_INTERVAL_MS);
-    Duration::from_millis(ms)
 }
 
 fn sampler(file: std::fs::File, interval: Duration, stop: Arc<StopFlag>) -> io::Result<u64> {
@@ -445,7 +327,7 @@ impl fmt::Display for Summary {
 /// `AlreadyExists` if a session is already active; filesystem errors
 /// from creating the stream file.
 pub fn start(path: impl Into<PathBuf>) -> io::Result<()> {
-    let interval = interval_from_env();
+    let interval = Duration::from_millis(DEFAULT_INTERVAL_MS);
     let path = path.into();
     let mut session = lock_session();
     if session.is_some() {
@@ -472,44 +354,29 @@ pub fn start(path: impl Into<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Starts the bus from the environment: a sampler session if
-/// `COMPASS_TELEMETRY=<path>` is set, and a `/metrics` endpoint if
-/// `COMPASS_STATS_ADDR=host:port` is set (the hook every `e*` binary
-/// calls first thing, next to [`crate::trace::init_from_env`]). Returns
-/// whether anything started.
+/// Starts a sampler session if `COMPASS_TELEMETRY=<path>` is set (the
+/// hook every `e*` binary calls first thing, next to
+/// [`crate::trace::init_from_env`]). Returns whether it started.
 pub fn init_from_env() -> bool {
-    let mut started = false;
-    if let Some(path) = std::env::var_os("COMPASS_TELEMETRY") {
-        if !path.is_empty() {
-            match start(PathBuf::from(path)) {
-                Ok(()) => started = true,
-                Err(e) => eprintln!("orc11: cannot start telemetry session: {e}"),
+    match std::env::var_os("COMPASS_TELEMETRY") {
+        Some(path) if !path.is_empty() => match start(PathBuf::from(path)) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("orc11: cannot start telemetry session: {e}");
+                false
             }
-        }
+        },
+        _ => false,
     }
-    if let Ok(addr) = std::env::var("COMPASS_STATS_ADDR") {
-        if !addr.trim().is_empty() {
-            match start_stats(addr.trim()) {
-                Ok(local) => {
-                    eprintln!("telemetry: serving /metrics on http://{local}/metrics");
-                    started = true;
-                }
-                Err(e) => eprintln!("orc11: cannot start stats endpoint: {e}"),
-            }
-        }
-    }
-    started
 }
 
-/// Ends the active session: wakes the sampler for one `final` sample,
-/// joins it, and stops the `/metrics` endpoint if one is running.
-/// Returns `Ok(None)` when no sampler session was active.
+/// Ends the active session: wakes the sampler for one `final` sample
+/// and joins it. Returns `Ok(None)` when no session was active.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from the sampler's writes.
 pub fn finish() -> io::Result<Option<Summary>> {
-    stop_stats();
     let session = lock_session().take();
     let Some(s) = session else {
         return Ok(None);
@@ -540,98 +407,6 @@ pub fn finish_or_warn() {
         Ok(None) => {}
         Err(e) => eprintln!("telemetry: cannot write stream: {e}"),
     }
-}
-
-// ---------------------------------------------------------------------
-// The /metrics exposition endpoint.
-
-struct StatsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicU64>,
-    join: std::thread::JoinHandle<()>,
-}
-
-static STATS: Mutex<Option<StatsServer>> = Mutex::new(None);
-
-fn lock_stats() -> std::sync::MutexGuard<'static, Option<StatsServer>> {
-    STATS.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Binds `addr` (e.g. `127.0.0.1:9464`; port 0 picks a free port) and
-/// serves `GET /metrics` from a dedicated thread until [`finish`] (or
-/// [`stop_stats`]). Returns the bound address.
-///
-/// # Errors
-///
-/// `AlreadyExists` if an endpoint is already running; bind errors.
-pub fn start_stats(addr: &str) -> io::Result<SocketAddr> {
-    let mut guard = lock_stats();
-    if guard.is_some() {
-        return Err(io::Error::new(
-            io::ErrorKind::AlreadyExists,
-            "a stats endpoint is already active",
-        ));
-    }
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicU64::new(0));
-    let stop2 = Arc::clone(&stop);
-    let join = std::thread::Builder::new()
-        .name("compass-stats".to_string())
-        .spawn(move || serve(listener, &stop2))?;
-    *guard = Some(StatsServer {
-        addr: local,
-        stop,
-        join,
-    });
-    Ok(local)
-}
-
-/// Stops the `/metrics` endpoint if one is running (idempotent;
-/// [`finish`] calls this).
-pub fn stop_stats() {
-    let server = lock_stats().take();
-    if let Some(s) = server {
-        s.stop.store(1, Ordering::Relaxed);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(s.addr);
-        let _ = s.join.join();
-    }
-}
-
-fn serve(listener: TcpListener, stop: &AtomicU64) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Relaxed) != 0 {
-            break;
-        }
-        let Ok(mut stream) = conn else { continue };
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let mut buf = [0u8; 1024];
-        let n = stream.read(&mut buf).unwrap_or(0);
-        let request = String::from_utf8_lossy(&buf[..n]);
-        let response = respond(request.lines().next().unwrap_or(""));
-        let _ = stream.write_all(response.as_bytes());
-    }
-}
-
-/// Maps an HTTP request line to a full response (GET-only: `/metrics`
-/// answers 200 with the Prometheus rendering, other paths 404, other
-/// methods 405).
-fn respond(request_line: &str) -> String {
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
-    let (status, body) = if method != "GET" {
-        ("405 Method Not Allowed", "method not allowed\n".to_string())
-    } else if target == "/metrics" {
-        ("200 OK", render_prometheus(&snapshot()))
-    } else {
-        ("404 Not Found", "not found (try /metrics)\n".to_string())
-    };
-    format!(
-        "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -846,34 +621,5 @@ mod tests {
             .unwrap_err()
             .contains("JSON"));
         assert!(validate_telemetry_text("").unwrap_err().contains("empty"));
-    }
-
-    #[test]
-    fn prometheus_rendering_exposes_the_registry_gauges() {
-        let s = Snapshot {
-            execs: 42,
-            soak_sealed: 7,
-            percent_x1000: 99_999,
-            workers: vec![WorkerStats::default(); 2],
-            ..Snapshot::default()
-        };
-        let text = render_prometheus(&s);
-        assert!(text.contains("\ncompass_explore_execs 42\n"));
-        assert!(text.contains("\ncompass_soak_epochs_sealed 7\n"));
-        assert!(text.contains("\ncompass_percent_complete 99.999\n"));
-        assert!(text.contains("compass_worker_executed{worker=\"1\"} 0\n"));
-        assert!(text.contains("# TYPE compass_est_total_execs gauge\n"));
-    }
-
-    #[test]
-    fn http_responses_follow_the_get_only_contract() {
-        assert!(respond("GET /metrics HTTP/1.1").starts_with("HTTP/1.1 200 OK"));
-        assert!(respond("GET / HTTP/1.1").starts_with("HTTP/1.1 404"));
-        assert!(respond("POST /metrics HTTP/1.1").starts_with("HTTP/1.1 405"));
-        assert!(respond("").starts_with("HTTP/1.1 405"));
-        // Content-Length matches the body exactly.
-        let resp = respond("GET /nope HTTP/1.1");
-        let body = resp.split("\r\n\r\n").nth(1).unwrap();
-        assert!(resp.contains(&format!("Content-Length: {}", body.len())));
     }
 }

@@ -50,7 +50,7 @@ use std::time::Instant;
 
 use crate::json::Json;
 
-/// Default cap on buffered events per thread (a bounded ring guard, not
+/// Cap on buffered events per thread (a bounded ring guard, not
 /// a hard functional limit — see [`TraceSummary::dropped`]).
 const DEFAULT_EVENT_CAP: usize = 1 << 20;
 
@@ -392,7 +392,6 @@ struct Session {
     path: PathBuf,
     epoch: Instant,
     generation: u64,
-    cap: usize,
     flushed: Vec<Track>,
     next_anon: u32,
 }
@@ -400,7 +399,6 @@ struct Session {
 struct LocalTrack {
     generation: u64,
     epoch: Instant,
-    cap: usize,
     /// Open Begin events whose buffer slot was dropped (cap hit): their
     /// matching Ends must be dropped too, or nesting breaks.
     drop_depth: u32,
@@ -447,10 +445,10 @@ fn register_current(tid: u32, name: String) {
     if !enabled() {
         return;
     }
-    let (generation, epoch, cap) = {
+    let (generation, epoch) = {
         let session = lock_session();
         match session.as_ref() {
-            Some(s) => (s.generation, s.epoch, s.cap),
+            Some(s) => (s.generation, s.epoch),
             None => return,
         }
     };
@@ -462,7 +460,6 @@ fn register_current(tid: u32, name: String) {
         *b = Some(LocalTrack {
             generation,
             epoch,
-            cap,
             drop_depth: 0,
             track: Track {
                 tid,
@@ -494,7 +491,6 @@ fn record_event(kind: EventKind, cat: &'static str, name: &'static str, value: u
             *b = Some(LocalTrack {
                 generation: s.generation,
                 epoch: s.epoch,
-                cap: s.cap,
                 drop_depth: 0,
                 track: Track {
                     tid,
@@ -515,7 +511,7 @@ fn record_event(kind: EventKind, cat: &'static str, name: &'static str, value: u
         };
         match kind {
             EventKind::Begin => {
-                if local.track.events.len() >= local.cap {
+                if local.track.events.len() >= DEFAULT_EVENT_CAP {
                     local.track.dropped += 1;
                     local.drop_depth += 1;
                 } else {
@@ -534,7 +530,7 @@ fn record_event(kind: EventKind, cat: &'static str, name: &'static str, value: u
                 }
             }
             EventKind::Counter => {
-                if local.track.events.len() >= local.cap {
+                if local.track.events.len() >= DEFAULT_EVENT_CAP {
                     local.track.dropped += 1;
                 } else {
                     local.track.events.push(event);
@@ -574,18 +570,13 @@ impl fmt::Display for TraceSummary {
 }
 
 /// Starts a trace session writing to `path` on [`finish`]. The calling
-/// thread is registered as tid 0 (`main`). The per-thread buffer cap
-/// can be overridden with `COMPASS_TRACE_CAP`.
+/// thread is registered as tid 0 (`main`). Each thread buffers at most
+/// `DEFAULT_EVENT_CAP` events; the rest are counted as dropped.
 ///
 /// # Errors
 ///
 /// `AlreadyExists` if a session is already active.
 pub fn start(path: impl Into<PathBuf>) -> io::Result<()> {
-    let cap = std::env::var("COMPASS_TRACE_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_EVENT_CAP);
     {
         let mut session = lock_session();
         if session.is_some() {
@@ -599,7 +590,6 @@ pub fn start(path: impl Into<PathBuf>) -> io::Result<()> {
             path: path.into(),
             epoch: Instant::now(),
             generation,
-            cap,
             flushed: Vec::new(),
             next_anon: 0,
         });

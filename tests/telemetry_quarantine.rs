@@ -1,27 +1,24 @@
 //! Integration: the telemetry bus lives outside the determinism
 //! envelope, and its estimator tells the truth at exhaustion.
 //!
-//! `orc11::telemetry` publishes counters, samples them to JSONL, and
-//! serves them over HTTP — and none of that may perturb what the
-//! checker computes. These tests pin the whole contract end to end:
-//! reports and replay bundles byte-identical with a telemetry session
-//! (and the `/metrics` endpoint) on versus off at 1 and 4 threads; the
-//! sampler stream structurally valid with estimator samples present;
-//! and the state-space estimate exact on exhausted plain-DFS litmus
-//! explorations.
+//! `orc11::telemetry` publishes counters and samples them to JSONL —
+//! and none of that may perturb what the checker computes. These tests
+//! pin the whole contract end to end: reports and replay bundles
+//! byte-identical with a telemetry session on versus off at 1 and 4
+//! threads; the sampler stream structurally valid with estimator
+//! samples present; and the state-space estimate exact on exhausted
+//! plain-DFS litmus explorations.
 //!
-//! The telemetry session, the stats endpoint, and the estimate gauges
-//! are process-wide, so every test that uses them serializes on
-//! [`TELEMETRY_LOCK`].
+//! The telemetry session and the estimate gauges are process-wide, so
+//! every test that uses them serializes on [`TELEMETRY_LOCK`].
 
 mod common;
 
-use std::io::{Read as _, Write as _};
 use std::sync::{Mutex, PoisonError};
 
 use common::{relaxed_queue_run, SEEDED};
 use orc11::litmus::{gallery, Litmus};
-use orc11::{run_model, telemetry, BodyFn, Config, Explorer, Mode, ThreadCtx, Val, WorkSpec};
+use orc11::{run_model, telemetry, BodyFn, Config, Explorer, Json, Mode, ThreadCtx, Val, WorkSpec};
 
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
 
@@ -31,12 +28,12 @@ fn serialize() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Telemetry must not perturb determinism: with a sampler session AND
-/// the `/metrics` endpoint active, the (wall-clock-normalized) checker
-/// report and the replay bundle — narrative.txt and flagged graph.dot
-/// included — are byte-identical to a telemetry-off run, at 1 and 4
-/// threads. An exhausted-DFS exploration report (which embeds the
-/// estimate) is compared the same way.
+/// Telemetry must not perturb determinism: with a sampler session
+/// active, the (wall-clock-normalized) checker report and the replay
+/// bundle — narrative.txt and flagged graph.dot included — are
+/// byte-identical to a telemetry-off run, at 1 and 4 threads. An
+/// exhausted-DFS exploration report (which embeds the estimate) is
+/// compared the same way.
 #[test]
 fn telemetry_on_and_off_runs_are_byte_identical() {
     let _guard = serialize();
@@ -77,19 +74,23 @@ fn telemetry_on_and_off_runs_are_byte_identical() {
 
         let stream = tmp.join(format!("telemetry-{threads}.jsonl"));
         telemetry::start(&stream).expect("no other telemetry session active");
-        let addr = telemetry::start_stats("127.0.0.1:0").expect("bind stats endpoint");
         let on_root = tmp.join(format!("on-{threads}"));
         let (on_report, on_bundle) = relaxed_queue_run(&SEEDED, threads, Some(&on_root));
         let on_dfs = dfs_json(threads);
-        // Scrape the endpoint mid-session; the response must expose the
-        // execution counter the runs just bumped.
-        let metrics = http_get(&addr.to_string(), "/metrics");
-        assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
-        assert!(metrics.contains("compass_explore_execs"), "{metrics}");
         let summary = telemetry::finish()
             .expect("telemetry file writable")
             .expect("session was active");
         assert!(summary.lines >= 2, "meta + final at minimum");
+        // The stream's final sample must carry the execution counter the
+        // runs just bumped.
+        let text = std::fs::read_to_string(&stream).expect("read telemetry stream");
+        let last = Json::parse(text.lines().last().expect("final line")).expect("final is JSON");
+        assert_eq!(last.get("kind"), Some(&Json::Str("final".to_string())));
+        let execs = last.get("explore").and_then(|e| e.get("execs"));
+        assert!(
+            matches!(execs, Some(Json::Int(n)) if *n > 0),
+            "final sample has explore.execs > 0: {execs:?}"
+        );
 
         assert_eq!(
             off_report, on_report,
@@ -108,21 +109,8 @@ fn telemetry_on_and_off_runs_are_byte_identical() {
     let _ = std::fs::remove_dir_all(&tmp);
 }
 
-/// One plain HTTP/1.1 GET against the stats endpoint, returning the raw
-/// response text.
-fn http_get(addr: &str, path: &str) -> String {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect to stats endpoint");
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
-        .expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    response
-}
-
 /// The sampler stream validates structurally and carries estimator
-/// samples once a DFS phase has run; non-GET and unknown paths answer
-/// per the exposition contract.
+/// samples once a DFS phase has run.
 #[test]
 fn sampler_stream_validates_with_estimator_samples() {
     let _guard = serialize();
@@ -174,35 +162,6 @@ fn sampler_stream_validates_with_estimator_samples() {
         .expect("second session stops cleanly")
         .expect("was active");
     let _ = std::fs::remove_file(&tmp);
-}
-
-/// The exposition endpoint follows its GET-only contract over a real
-/// socket: /metrics 200, other paths 404, other methods 405.
-#[test]
-fn metrics_endpoint_follows_the_http_contract() {
-    let _guard = serialize();
-    let addr = telemetry::start_stats("127.0.0.1:0")
-        .expect("bind stats endpoint")
-        .to_string();
-    let ok = http_get(&addr, "/metrics");
-    assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
-    assert!(ok.contains("# TYPE compass_explore_execs gauge"), "{ok}");
-    assert!(ok.contains("compass_soak_epochs_sealed"), "{ok}");
-    let missing = http_get(&addr, "/nope");
-    assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    stream
-        .write_all(b"POST /metrics HTTP/1.1\r\n\r\n")
-        .expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    assert!(response.starts_with("HTTP/1.1 405"), "{response}");
-    telemetry::stop_stats();
-    // Idempotent, and a new endpoint can bind afterwards.
-    telemetry::stop_stats();
-    let again = telemetry::start_stats("127.0.0.1:0").expect("rebind after stop");
-    assert_ne!(again.port(), 0);
-    telemetry::stop_stats();
 }
 
 /// At plain-DFS exhaustion the mass-based estimator is *exact*: every
