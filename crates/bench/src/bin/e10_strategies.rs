@@ -10,7 +10,7 @@
 use compass::deque_spec::check_deque_consistent;
 use compass::queue_spec::check_queue_consistent;
 use compass::Graph;
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::table::Table;
 use compass_structures::buggy::relaxed_hw_queue;
 use compass_structures::clients::{run_client, FLAG_ORDERED_ENQS, OWNER_THIEVES};
@@ -83,7 +83,7 @@ fn rates<M: Model>(
 }
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e10_strategies");
     let n: u64 = std::env::args()
         .nth(1)
@@ -138,5 +138,4 @@ fn main() {
     m.param("executions", n);
     m.set("bugs_found", bugs);
     m.write_or_warn();
-    orc11::trace::finish_or_warn();
 }

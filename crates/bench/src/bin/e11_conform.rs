@@ -17,7 +17,7 @@
 
 use compass::conform::{recheck, ConformOptions};
 use compass::queue_spec::QueueEvent;
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::roles::{queue, registry, Sizing, Subject};
 use compass_bench::table::Table;
 use compass_native::recorder::seed_from_env;
@@ -56,7 +56,7 @@ fn report_json(report: &compass::CheckReport) -> Json {
 }
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e11_conform");
     m.mark_conform();
     let rounds: u64 = std::env::args()
@@ -167,5 +167,4 @@ fn main() {
         .set("bundle", dir.display().to_string());
     m.set("WeakMsQueue_control", ctl);
     m.write_or_warn();
-    orc11::trace::finish_or_warn();
 }

@@ -18,8 +18,6 @@
 //! * `COMPASS_PERF_TCOUNTS` — comma-separated thread counts (default
 //!   `1,2,4,8`; the SPSC ring always runs at exactly 2, the exchanger
 //!   skips 1).
-//! * `COMPASS_PROGRESS` — live round progress (structure, thread count,
-//!   ops completed, throughput) on stderr.
 //! * `COMPASS_BENCH_OUT` — also write a `BENCH_<n>.json` trajectory
 //!   document to this path, stamped with `COMPASS_BENCH_REV` /
 //!   `COMPASS_BENCH_DATE` / `COMPASS_BENCH_PRESET` (the binary never
@@ -31,53 +29,33 @@
 //! wall-clock-derived numbers would break that (DESIGN.md §9).
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::perf::{curve_point_json, perf_json, structure_json};
 use compass_bench::roles::{registry, Body};
 use compass_bench::table::{format_ns, Table};
 use compass_native::perf::{self as nperf, LatencyHist};
 use compass_native::{ArcCell, Tml};
 use orc11::litmus::{gallery, Litmus};
-use orc11::{Json, ProgressLine};
-
-/// Ops per progress/claim chunk inside a worker's loop.
-const CHUNK: u64 = 1024;
+use orc11::Json;
 
 /// Runs one closed-loop round: `bodies.len()` threads, barrier-started,
-/// each performing `per_thread` ops in chunks. Returns the slowest
-/// thread's wall time in nanoseconds (the round's makespan); each
-/// thread flushes its perf histograms before returning.
-fn round(label: &str, per_thread: u64, progress: &ProgressLine, bodies: Vec<Body>) -> u64 {
-    let threads = bodies.len();
-    let barrier = Barrier::new(threads);
-    let done = AtomicU64::new(0);
-    let total = per_thread * threads as u64;
+/// each performing `per_thread` ops. Returns the slowest thread's wall
+/// time in nanoseconds (the round's makespan); each thread flushes its
+/// perf histograms before returning.
+fn round(per_thread: u64, bodies: Vec<Body>) -> u64 {
+    let barrier = Barrier::new(bodies.len());
     let walls: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = bodies
             .into_iter()
             .map(|mut body| {
                 let barrier = &barrier;
-                let done = &done;
                 scope.spawn(move || {
                     barrier.wait();
                     let t0 = Instant::now();
-                    let mut next = 0u64;
-                    while next < per_thread {
-                        let end = (next + CHUNK).min(per_thread);
-                        body(next..end);
-                        if progress.enabled() {
-                            let d = done.fetch_add(end - next, Ordering::Relaxed) + (end - next);
-                            progress.maybe(|| {
-                                let rate = d as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-                                format!("{label}: {d}/{total} ops, {rate:.0} ops/s")
-                            });
-                        }
-                        next = end;
-                    }
+                    body(0..per_thread);
                     let wall = t0.elapsed().as_nanos() as u64;
                     nperf::flush_thread();
                     wall
@@ -101,30 +79,14 @@ const REPS: usize = 3;
 /// structure, keeping the median round. `make` builds the structure,
 /// prefills it, and returns the per-thread bodies — all before
 /// recording starts, so setup ops are never sampled.
-fn point(
-    name: &str,
-    threads: usize,
-    per_thread: u64,
-    progress: &ProgressLine,
-    make: &dyn Fn(usize, u64) -> Vec<Body>,
-) -> Json {
+fn point(threads: usize, per_thread: u64, make: &dyn Fn(usize, u64) -> Vec<Body>) -> Json {
     let warmup_ops = (per_thread / 4).max(256);
-    round(
-        &format!("{name} t={threads} (warmup)"),
-        warmup_ops,
-        progress,
-        make(threads, warmup_ops),
-    );
+    round(warmup_ops, make(threads, warmup_ops));
     let mut reps: Vec<(u64, Vec<(nperf::OpKind, LatencyHist)>)> = (0..REPS)
-        .map(|rep| {
+        .map(|_| {
             let bodies = make(threads, per_thread);
             nperf::start();
-            let wall_ns = round(
-                &format!("{name} t={threads} ({}/{REPS})", rep + 1),
-                per_thread,
-                progress,
-                bodies,
-            );
+            let wall_ns = round(per_thread, bodies);
             (wall_ns, nperf::finish())
         })
         .collect();
@@ -291,7 +253,7 @@ fn sweep_gallery(budget: u64, mut m: Option<&mut Metrics>) -> Sweep {
 }
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e12_perf");
     let per_thread: u64 = std::env::args()
         .nth(1)
@@ -302,7 +264,6 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(200_000);
     let tcounts = thread_counts();
-    let progress = ProgressLine::new(orc11::progress::from_env());
 
     m.param("ops_per_thread", per_thread);
     m.param("litmus_budget", budget);
@@ -353,7 +314,7 @@ fn main() {
         let ops = per_thread;
         let mut curve = Json::arr();
         for &threads in counts {
-            let p = point(name, threads, ops, &progress, make.as_ref());
+            let p = point(threads, ops, make.as_ref());
             let tp = match p.get("throughput_ops_per_sec") {
                 Some(Json::Float(f)) => *f,
                 _ => 0.0,
@@ -379,7 +340,6 @@ fn main() {
         }
         structures_json = structures_json.push(structure_json(name, kind, *baseline, curve));
     }
-    progress.finish("structure rounds done");
     println!("{}", table.render());
 
     println!("explorer speed (litmus gallery, budget {budget}):");
@@ -430,5 +390,4 @@ fn main() {
             Err(e) => eprintln!("bench: cannot write {}: {e}", out.display()),
         }
     }
-    orc11::trace::finish_or_warn();
 }

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use compass::conform::recheck;
 use compass::queue_spec::QueueEvent;
 use compass::soak::{LoopMode, SoakReport};
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::roles::{queue, registry, Sizing};
 use compass_bench::soak::{outcome_json, slice_budget, soak, SoakOutcome, SoakRunOptions};
 use compass_bench::table::Table;
@@ -129,8 +129,7 @@ fn check_run(out: &SoakOutcome, expect_clean: bool) {
 }
 
 fn main() {
-    orc11::trace::init_from_env();
-    orc11::telemetry::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e13_soak");
     m.mark_conform();
     let epochs: u64 = std::env::args()
@@ -421,6 +420,4 @@ fn main() {
     );
     m.set("worst_overhead_pct", worst_overhead.0);
     m.write_or_warn();
-    orc11::telemetry::finish_or_warn();
-    orc11::trace::finish_or_warn();
 }

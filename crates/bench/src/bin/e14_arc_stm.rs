@@ -34,7 +34,7 @@ use compass_bench::arc_stm::{
     explore_model_arc, explore_model_stm, explore_relaxed_arc, explore_unvalidated_stm, ArcSubject,
     StmSubject, MODEL_BUDGET,
 };
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::table::Table;
 use compass_native::recorder::seed_from_env;
 use compass_native::{ArcCell, Tml, WeakArcCell, WeakTml};
@@ -261,7 +261,7 @@ where
 }
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e14_arc_stm");
     m.mark_conform();
     let rounds: u64 = std::env::args()
@@ -376,5 +376,4 @@ fn main() {
             .set("conform_control", stm_control),
     );
     m.write_or_warn();
-    orc11::trace::finish_or_warn();
 }

@@ -6,7 +6,7 @@
 //! makes empty a consistent outcome — the guarantee comes from combining
 //! QUEUE-EMPDEQ with the client's external synchronization.
 
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::table::Table;
 use compass_structures::clients::{check_mp, run_mp};
 use compass_structures::queue::{HwQueue, MsQueue};
@@ -55,7 +55,7 @@ fn tally<Q: compass_structures::queue::ModelQueue>(
 }
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e1_mp");
     let seeds: u64 = std::env::args()
         .nth(1)
@@ -123,5 +123,4 @@ fn main() {
     m.param("seeds", seeds);
     m.set("configurations", rows);
     m.write_or_warn();
-    orc11::trace::finish_or_warn();
 }

@@ -14,7 +14,7 @@
 //! `LAT_hb`, §3.2); the deliberately weakened variants fall off the
 //! hierarchy.
 
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::table::Table;
 use compass_bench::workloads::queue_spec_stats;
 use compass_structures::buggy::{relaxed_hw_queue, relaxed_ms_queue};
@@ -22,7 +22,7 @@ use compass_structures::queue::{HwQueue, LockQueue, MsQueue};
 use orc11::Json;
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e2_spec_matrix");
     let seeds: u64 = std::env::args()
         .nth(1)
@@ -92,5 +92,4 @@ fn main() {
     m.add_phases(&phases);
     m.add_workers(&workers);
     m.write_or_warn();
-    orc11::trace::finish_or_warn();
 }

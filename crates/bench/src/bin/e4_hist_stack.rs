@@ -8,12 +8,12 @@
 //! (executions with stale empty-pop reads need the reordering freedom the
 //! `to ⊇ lhb` formulation grants).
 
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::table::Table;
 use compass_bench::workloads::treiber_hist_stats;
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e4_hist_stack");
     let seeds: u64 = std::env::args()
         .nth(1)
@@ -48,5 +48,4 @@ fn main() {
     m.add_workers(&s.workers);
     m.set("treiber", s.to_json());
     m.write_or_warn();
-    orc11::trace::finish_or_warn();
 }

@@ -6,13 +6,13 @@
 //! stack's `StackConsistent` built compositionally from the base stack's
 //! and exchanger's events; and that eliminations actually occur.
 
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::table::Table;
 use compass_bench::workloads::elim_stats;
 use orc11::Json;
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e5_elimination");
     let seeds: u64 = std::env::args()
         .nth(1)
@@ -59,5 +59,4 @@ fn main() {
     m.param("seeds", seeds);
     m.set("by_patience", by_patience);
     m.write_or_warn();
-    orc11::trace::finish_or_warn();
 }

@@ -11,7 +11,7 @@
 
 use std::path::{Path, PathBuf};
 
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::table::Table;
 use orc11::Json;
 
@@ -58,7 +58,7 @@ fn repo_root() -> PathBuf {
 }
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e6_sizes");
     let root = repo_root();
     let f = |rel: &str| loc(&root.join(rel));
@@ -200,5 +200,4 @@ fn main() {
     m.set("library_median_loc", median);
     m.set("crates_loc", crate_loc);
     m.write_or_warn();
-    orc11::trace::finish_or_warn();
 }

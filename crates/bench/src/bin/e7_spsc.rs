@@ -6,13 +6,13 @@
 //! specs by building an SPSC protocol; here it is checked over explored
 //! executions (together with `QueueConsistent`).
 
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::table::Table;
 use compass_structures::clients::{check_spsc, run_spsc};
 use orc11::{random_strategy, Json};
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e7_spsc");
     let phase_mark = orc11::trace::thread_phases();
     let seeds: u64 = std::env::args()
@@ -70,5 +70,4 @@ fn main() {
     // delta is exactly the run's breakdown.
     m.add_phases(&orc11::trace::thread_phases().delta_since(&phase_mark));
     m.write_or_warn();
-    orc11::trace::finish_or_warn();
 }

@@ -6,7 +6,7 @@
 //! two must agree on the outcome set; the final table shows how many
 //! executions the partial-order reduction saved on each shape.
 
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use orc11::litmus::{gallery, Litmus, LitmusReport};
 use orc11::Json;
 
@@ -69,8 +69,7 @@ impl Row {
 }
 
 fn main() {
-    orc11::trace::init_from_env();
-    orc11::telemetry::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e8_litmus");
     let budget: u64 = std::env::args()
         .nth(1)
@@ -185,6 +184,4 @@ fn main() {
     m.param("budget", budget);
     m.set("tests", tests);
     m.write_or_warn();
-    orc11::telemetry::finish_or_warn();
-    orc11::trace::finish_or_warn();
 }

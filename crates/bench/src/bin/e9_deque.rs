@@ -8,7 +8,7 @@
 
 use compass::deque_spec::{check_deque_consistent, mutator_subgraph, DequeInterp};
 use compass::history::find_linearization;
-use compass_bench::metrics::Metrics;
+use compass_bench::metrics::{Metrics, Sessions};
 use compass_bench::table::Table;
 use compass_structures::clients::{run_client, OWNER_THIEVES};
 use compass_structures::deque::ChaseLevDeque;
@@ -64,7 +64,7 @@ fn run(make: impl Fn(&mut ThreadCtx, u32) -> ChaseLevDeque + Sync, seeds: u64) -
 }
 
 fn main() {
-    orc11::trace::init_from_env();
+    let _sessions = Sessions::from_env();
     let mut m = Metrics::new("e9_deque");
     let phase_mark = orc11::trace::thread_phases();
     let seeds: u64 = std::env::args()
@@ -108,5 +108,4 @@ fn main() {
     // Serial run: the thread-local phase delta is the run's breakdown.
     m.add_phases(&orc11::trace::thread_phases().delta_since(&phase_mark));
     m.write_or_warn();
-    orc11::trace::finish_or_warn();
 }

@@ -267,6 +267,32 @@ impl Metrics {
     }
 }
 
+/// An experiment binary's live sessions: the `COMPASS_TRACE` timeline
+/// and the `COMPASS_TELEMETRY` stream. [`Sessions::from_env`] starts
+/// whichever the environment asks for; dropping the value finishes both
+/// (telemetry first, so its `final` sample covers the whole run). Not
+/// `Clone`: exactly one value ends the sessions.
+#[derive(Debug)]
+pub struct Sessions(());
+
+impl Sessions {
+    /// Starts the sessions the environment asks for. Bind the result to
+    /// a named local (`let _sessions = ...`) so it lives to the end of
+    /// `main`.
+    pub fn from_env() -> Self {
+        orc11::trace::init_from_env();
+        orc11::telemetry::init_from_env();
+        Sessions(())
+    }
+}
+
+impl Drop for Sessions {
+    fn drop(&mut self) {
+        orc11::telemetry::finish_or_warn();
+        orc11::trace::finish_or_warn();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,10 +11,7 @@ use compass::history::{find_linearization, QueueInterp, StackInterp};
 use compass::queue_spec::{check_queue_consistent, check_so_lhb as queue_so_lhb};
 use compass::stack_spec::{check_stack_consistent, StackEvent};
 use compass::Graph;
-use compass_structures::clients::{
-    run_client, Object, ELIM_MIXED, MPMC, OWNER_THIEVES, STACK_MIXED,
-};
-use compass_structures::deque::ChaseLevDeque;
+use compass_structures::clients::{run_client, Object, ELIM_MIXED, MPMC, STACK_MIXED};
 use compass_structures::queue::ModelQueue;
 use compass_structures::stack::{ElimStack, TreiberStack};
 use orc11::{sync::Mutex, Config, Explorer, PhaseNs, ThreadCtx, WorkSpec, WorkerStats};
@@ -282,67 +279,6 @@ pub fn elim_stats(seeds: std::ops::Range<u64>, patience: u32) -> ElimStats {
     stats
 }
 
-/// Per-run statistics for the Chase-Lev deque (E9/P3).
-#[derive(Clone, Debug, Default)]
-pub struct DequeStats {
-    /// Executions performed.
-    pub runs: u64,
-    /// Aborted executions.
-    pub model_errors: u64,
-    /// Graph satisfies `DequeConsistent`.
-    pub consistent: u64,
-    /// Mutator subgraph admits a linearization.
-    pub hist_ok: u64,
-    /// Per-phase busy time from the exploration (see `orc11::trace`).
-    pub phase_ns: PhaseNs,
-    /// Per-worker load-balance counters from the exploration.
-    pub workers: Vec<WorkerStats>,
-}
-
-impl DequeStats {
-    /// Machine-readable form.
-    pub fn to_json(&self) -> orc11::Json {
-        orc11::Json::obj()
-            .set("runs", self.runs)
-            .set("model_errors", self.model_errors)
-            .set("consistent", self.consistent)
-            .set("hist_ok", self.hist_ok)
-    }
-}
-
-/// Runs the owner+2-thieves workload over `seeds` executions of a
-/// [`ChaseLevDeque`] and tallies consistency.
-pub fn deque_stats(seeds: std::ops::Range<u64>) -> DequeStats {
-    use compass::deque_spec::{check_deque_consistent, mutator_subgraph, DequeInterp};
-    let stats = Mutex::new(DequeStats::default());
-    let report = Explorer::default().explore(
-        &random_over(seeds),
-        &|strategy| {
-            let make = |ctx: &mut ThreadCtx| ChaseLevDeque::new(ctx, 8);
-            run_client(&Config::default(), make, &OWNER_THIEVES, strategy)
-        },
-        |_, out| {
-            let mut stats = stats.lock();
-            stats.runs += 1;
-            match &out.result {
-                Err(_) => stats.model_errors += 1,
-                Ok(g) => {
-                    if check_deque_consistent(g).is_ok() {
-                        stats.consistent += 1;
-                    }
-                    if find_linearization(&mutator_subgraph(g), &DequeInterp, &[]).is_some() {
-                        stats.hist_ok += 1;
-                    }
-                }
-            }
-        },
-    );
-    let mut stats = stats.into_inner();
-    stats.phase_ns = report.phase_ns;
-    stats.workers = report.workers;
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,18 +333,6 @@ mod tests {
         assert_eq!(
             s.to_json().render(),
             r#"{"runs":40,"model_errors":0,"consistent":40,"hist_ok":40,"commit_order_witness":35,"with_emp_pops":38}"#
-        );
-        assert_eq!(s.model_errors, 0);
-        assert_eq!(s.consistent, s.runs);
-        assert_eq!(s.hist_ok, s.runs);
-    }
-
-    #[test]
-    fn deque_workload_consistent() {
-        let s = deque_stats(0..60);
-        assert_eq!(
-            s.to_json().render(),
-            r#"{"runs":60,"model_errors":0,"consistent":60,"hist_ok":60}"#
         );
         assert_eq!(s.model_errors, 0);
         assert_eq!(s.consistent, s.runs);

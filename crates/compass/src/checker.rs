@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use orc11::{
@@ -233,8 +232,6 @@ pub struct CheckOptions {
     /// failure (violation or model error, in serial exploration order)
     /// into a fresh subdirectory of this directory.
     pub bundle_dir: Option<PathBuf>,
-    /// Print a throttled progress line (execs/sec, ETA) to stderr.
-    pub progress: bool,
     /// Worker threads; `0` (the default) means auto: `COMPASS_THREADS`
     /// if set, else the host's available parallelism (capped — see
     /// [`orc11::default_threads`]).
@@ -253,7 +250,6 @@ impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
             bundle_dir: None,
-            progress: false,
             threads: 0,
             max_errors: orc11::DEFAULT_MAX_ERRORS,
             dpor: None,
@@ -263,15 +259,14 @@ impl Default for CheckOptions {
 
 impl CheckOptions {
     /// Reads the options from the environment: `COMPASS_BUNDLE_DIR` (a
-    /// directory path), `COMPASS_PROGRESS` (any value but `0`), and
-    /// `COMPASS_THREADS` (worker count; resolved by the engine, since
-    /// `threads == 0` means exactly "consult the environment").
-    /// [`check_executions`] uses this, so all three toggles work on every
-    /// existing test and experiment binary without code changes.
+    /// directory path) and `COMPASS_THREADS` (worker count; resolved by
+    /// the engine, since `threads == 0` means exactly "consult the
+    /// environment"). [`check_executions`] uses this, so both toggles
+    /// work on every existing test and experiment binary without code
+    /// changes.
     pub fn from_env() -> Self {
         CheckOptions {
             bundle_dir: std::env::var_os("COMPASS_BUNDLE_DIR").map(PathBuf::from),
-            progress: orc11::progress::from_env(),
             ..CheckOptions::default()
         }
     }
@@ -472,82 +467,6 @@ impl fmt::Display for CheckReport {
     }
 }
 
-/// Throttled stderr progress line ([`CheckOptions::progress`]), shared
-/// by all workers: a counter everyone bumps, feeding an
-/// [`orc11::ProgressLine`] (`try_lock` + 200ms throttle, so nobody ever
-/// waits on the printer).
-struct Progress {
-    line: orc11::ProgressLine,
-    total: u64,
-    /// DFS runs report the live frontier depth instead of percent-of-
-    /// budget: a DFS budget is a cap, not a target, so "% done" would
-    /// overstate runs that exhaust early.
-    dfs: bool,
-    start: Instant,
-    done: AtomicU64,
-}
-
-impl Progress {
-    fn new(enabled: bool, spec: &WorkSpec) -> Self {
-        Progress {
-            line: orc11::ProgressLine::new(enabled),
-            total: spec.total(),
-            dfs: matches!(spec, WorkSpec::Dfs { .. } | WorkSpec::DfsDpor { .. }),
-            start: Instant::now(),
-            done: AtomicU64::new(0),
-        }
-    }
-
-    /// `", ~1200 total (34.2%), ETA 4s"` — the live state-space estimate
-    /// from the telemetry registry (fed by the work source as paths
-    /// complete); empty until the estimator has folded its first path.
-    fn estimate_suffix(&self, rate: f64) -> String {
-        let (paths, est_total, pct_x1000) = orc11::telemetry::estimate_gauges();
-        if paths == 0 {
-            return String::new();
-        }
-        let pct = pct_x1000 as f64 / 1000.0;
-        let remaining = est_total.saturating_sub(self.done.load(Ordering::Relaxed));
-        let eta = orc11::progress::fmt_eta(remaining as f64 / rate.max(1e-9));
-        format!(", ~{est_total} total ({pct:.1}%), ETA {eta}")
-    }
-
-    fn tick(&self) {
-        if !self.line.enabled() {
-            return;
-        }
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        self.line.maybe(|| {
-            let rate = done as f64 / self.start.elapsed().as_secs_f64().max(1e-9);
-            if self.dfs {
-                format!(
-                    "{done} execs, {rate:.0}/s, frontier {}{}",
-                    trace::frontier_depth(),
-                    self.estimate_suffix(rate)
-                )
-            } else if self.total > done {
-                let pct = 100.0 * done as f64 / self.total as f64;
-                let eta = (self.total - done) as f64 / rate.max(1e-9);
-                format!(
-                    "{done}/{} execs ({pct:.0}%), {rate:.0}/s, ETA {eta:.1}s",
-                    self.total
-                )
-            } else {
-                format!("{done} execs, {rate:.0}/s")
-            }
-        });
-    }
-
-    fn finish(&self) {
-        let done = self.done.load(Ordering::Relaxed);
-        let secs = self.start.elapsed().as_secs_f64();
-        self.line.finish(&format!(
-            "{done} execs in {secs:.2}s ({:.0}/s)",
-            done as f64 / secs.max(1e-9)
-        ));
-    }
-}
-
 /// One worker's share of a [`CheckReport`]: everything the base
 /// [`orc11::ExploreReport`] does not already account. Each worker gets
 /// its own (no locking in the hot path); [`CheckerSink::merge_into`]
@@ -555,7 +474,6 @@ impl Progress {
 /// thread-count independent.
 struct CheckerSink<'a, G, C> {
     check: &'a C,
-    progress: &'a Progress,
     consistent: u64,
     violations: BTreeMap<&'static str, u64>,
     /// The `SAMPLE_CAP` smallest-origin violations this worker saw.
@@ -571,10 +489,9 @@ struct CheckerSink<'a, G, C> {
 }
 
 impl<'a, G, C> CheckerSink<'a, G, C> {
-    fn new(check: &'a C, progress: &'a Progress) -> Self {
+    fn new(check: &'a C) -> Self {
         CheckerSink {
             check,
-            progress,
             consistent: 0,
             violations: BTreeMap::new(),
             samples: Vec::new(),
@@ -660,7 +577,6 @@ where
                 }
             }
         }
-        self.progress.tick();
     }
 }
 
@@ -688,7 +604,6 @@ pub fn check_executions_with<G: CheckTarget>(
         Some(on) => exploration.work_spec().with_dpor(on),
         None => exploration.work_spec(),
     };
-    let progress = Progress::new(opts.progress, &spec);
     // Discard search counters a previous caller on this thread left
     // behind, so a serial (inline) run only sees its own checks.
     let _ = history::take_search_stats();
@@ -696,9 +611,7 @@ pub fn check_executions_with<G: CheckTarget>(
         threads: opts.threads,
         max_errors: opts.max_errors,
     };
-    let (base, sinks) =
-        explorer.explore_with(&spec, &program, |_| CheckerSink::new(&check, &progress));
-    progress.finish();
+    let (base, sinks) = explorer.explore_with(&spec, &program, |_| CheckerSink::new(&check));
 
     let mut report = CheckReport {
         execs: base.execs,
@@ -767,7 +680,7 @@ mod tests {
     use crate::queue_spec::{check_queue_consistent, QueueEvent};
     use crate::Graph;
     use orc11::{run_model, BodyFn, Config, Mode, Val};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn trivial_program(strategy: Box<dyn Strategy>) -> RunOutcome<Graph<QueueEvent>> {
         run_model(

@@ -40,11 +40,6 @@ impl DequeEvent {
         }
     }
 
-    /// Whether this event takes an element (pop or steal).
-    pub fn is_taker(self) -> bool {
-        matches!(self, DequeEvent::Pop(_) | DequeEvent::Steal(_))
-    }
-
     /// Whether the event belongs to the owner.
     pub fn is_owner_op(self) -> bool {
         matches!(

@@ -321,12 +321,6 @@ pub struct SoakEngine<E: SoakEvent> {
     ops_recorded: u64,
     last_epoch: u64,
     opts: SoakOptions,
-    /// Live `COMPASS_PROGRESS` line (epochs sealed/checked/shed,
-    /// governor fraction, epochs/sec), ticked once per sealed epoch.
-    /// Lives in the engine because soak drivers spend the whole run
-    /// inside driver calls — there is no main-loop spot to print from.
-    progress: orc11::ProgressLine,
-    epoch_rate: orc11::RateMeter,
 }
 
 impl<E: SoakEvent> std::fmt::Debug for SoakEngine<E> {
@@ -390,20 +384,12 @@ impl<E: SoakEvent> SoakEngine<E> {
             ops_recorded: 0,
             last_epoch: 0,
             opts,
-            progress: orc11::ProgressLine::new(orc11::progress::from_env()),
-            epoch_rate: orc11::RateMeter::new(orc11::RateMeter::DEFAULT_WINDOW),
         }
     }
 
     /// The mutator-facing handle (sampling fraction + stop flag).
     pub fn handle(&self) -> SoakHandle {
         Arc::clone(&self.shared.control)
-    }
-
-    /// Epochs checked so far while mutators were still live (reads the
-    /// shared counter; useful for mid-run progress).
-    pub fn checked_so_far(&self) -> u64 {
-        lock(&self.shared.stats).checked
     }
 
     /// Seals one epoch: assembles the sampled batch into a checkable
@@ -416,19 +402,7 @@ impl<E: SoakEvent> SoakEngine<E> {
         self.ops_recorded += batch.len() as u64;
         let slice = self.assembler.assemble(epoch, batch);
         self.enqueue(epoch, slice);
-        let rate = self.epoch_rate.tick();
         self.gauge_telemetry();
-        if let Some(epochs_per_sec) = rate {
-            let checked = lock(&self.shared.stats).checked;
-            let (sealed, shed, ops) = (self.sealed, self.shed, self.ops_recorded);
-            let per_mille = self.shared.control.governor.per_mille();
-            self.progress.maybe(|| {
-                format!(
-                    "soak: {sealed} sealed, {checked} checked, {shed} shed, \
-                     governor {per_mille}‰, {epochs_per_sec:.0} epochs/s, {ops} ops"
-                )
-            });
-        }
     }
 
     /// Publishes the engine's accounting into the telemetry registry
@@ -441,8 +415,8 @@ impl<E: SoakEvent> SoakEngine<E> {
             checked,
             self.shed,
             u64::from(self.shared.control.governor.per_mille()),
+            self.ops_recorded,
         );
-        orc11::telemetry::gauge_soak_ops(self.ops_recorded);
     }
 
     fn enqueue(&mut self, epoch: u64, slice: Vec<SoakOp<E>>) {
@@ -531,14 +505,6 @@ impl<E: SoakEvent> SoakEngine<E> {
         }
         self.gauge_telemetry();
         let stats = lock(&self.shared.stats);
-        self.progress.finish(&format!(
-            "soak: {} sealed, {} checked ({} live), {} shed, governor {}‰",
-            self.sealed,
-            stats.checked,
-            stats.checked_live,
-            self.shed,
-            self.shared.control.governor.per_mille()
-        ));
         SoakReport {
             subject: self.shared.name.clone(),
             seed: self.opts.seed,

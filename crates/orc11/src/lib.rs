@@ -84,8 +84,6 @@ mod mode;
 mod model;
 pub mod oplog;
 mod parallel;
-pub mod progress;
-pub mod rate;
 pub mod rng;
 mod sched;
 pub mod stats;
@@ -111,8 +109,6 @@ pub use mode::{FenceMode, Mode};
 pub use model::Model;
 pub use oplog::{render_ops, OpKindRecord, OpRecord};
 pub use parallel::{default_threads, Sink};
-pub use progress::ProgressLine;
-pub use rate::RateMeter;
 pub use sched::{
     dfs_strategy, next_dfs_prefix, pct_strategy, random_strategy, replay_strategy, Choice,
     ChoiceKind, DfsStrategy, PctStrategy, RandomStrategy, Strategy,

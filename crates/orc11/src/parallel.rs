@@ -24,7 +24,6 @@
 use crate::exec::RunOutcome;
 use crate::explore::ExploreReport;
 use crate::model::Model;
-use crate::rate::RateMeter;
 use crate::trace;
 use crate::work::{StrategyDesc, WorkSource, WorkSpec};
 
@@ -96,9 +95,6 @@ fn drive<M, S>(
 {
     let phase_mark = trace::thread_phases();
     let reuse_mark = crate::exec::local_reuse();
-    // Executions/sec counter track: one meter per worker, sampled at
-    // most every 100ms, and only while a trace session is on.
-    let mut rate = RateMeter::new(RateMeter::DEFAULT_WINDOW);
     while let Some(batch) = source.claim(worker) {
         let _batch_span = trace::span(trace::Phase::Explore, "batch");
         for desc in batch {
@@ -119,11 +115,6 @@ fn drive<M, S>(
             // by the sampler thread. Stores only — never an exploration
             // decision (see crate::telemetry).
             crate::telemetry::count_exec();
-            if trace::enabled() {
-                if let Some(r) = rate.tick() {
-                    trace::counter("execs_per_sec", r as u64);
-                }
-            }
         }
     }
     report

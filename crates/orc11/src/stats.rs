@@ -419,16 +419,6 @@ impl WorkerStats {
         self.idle_waits += other.idle_waits;
         self.idle_wait_ns += other.idle_wait_ns;
     }
-
-    /// Machine-readable form (without the worker index; see
-    /// [`workers_to_json`]).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("executed", self.executed)
-            .set("stolen", self.stolen)
-            .set("idle_waits", self.idle_waits)
-            .set("idle_wait_ns", self.idle_wait_ns)
-    }
 }
 
 impl fmt::Display for WorkerStats {
@@ -612,17 +602,6 @@ impl Estimate {
     /// Visited probability mass as a percentage in [0, 100].
     pub fn percent_complete(&self) -> f64 {
         self.percent_x1000() as f64 / 1000.0
-    }
-
-    /// Estimated seconds remaining given `done` executions took
-    /// `elapsed_secs`: `elapsed × (1 − mass) / mass` (`None` before any
-    /// mass accumulates).
-    pub fn eta_secs(&self, elapsed_secs: f64) -> Option<f64> {
-        if self.mass == 0 {
-            return None;
-        }
-        let m = (self.mass.min(Self::UNIT) as f64) / Self::UNIT as f64;
-        Some(elapsed_secs * (1.0 - m) / m)
     }
 
     /// Machine-readable form (`estimate` in reports and metrics; gated on
@@ -909,7 +888,6 @@ mod tests {
         // 6 × ⌊2⁶⁴/6⌋ loses at most 6 fixed-point ulps of mass.
         assert!(Estimate::UNIT - e.mass < 8);
         assert_eq!(e.percent_x1000(), 99_999);
-        assert!(e.eta_secs(10.0).unwrap() < 1e-10);
     }
 
     #[test]
@@ -941,13 +919,9 @@ mod tests {
         assert_eq!(j.get("paths"), Some(&Json::Int(2)));
         assert_eq!(j.get("est_total_execs"), Some(&Json::Int(4)));
         assert_eq!(j.get("percent_complete"), Some(&Json::Float(50.0)));
-        // ETA: half the mass visited in 3s -> ~3s remaining.
-        let eta = ab.eta_secs(3.0).unwrap();
-        assert!((eta - 3.0).abs() < 1e-9, "eta {eta}");
         assert!(format!("{ab}").contains("50.0% visited"));
         // Zero-arity guard and empty estimate.
         assert_eq!(Estimate::default().est_total_execs(), 0);
-        assert_eq!(Estimate::default().eta_secs(1.0), None);
         let mut z = Estimate::default();
         z.record_path([0u32]);
         assert_eq!(z.est_total_execs(), 1);

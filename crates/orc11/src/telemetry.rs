@@ -58,6 +58,8 @@ const MAX_WORKER_SLOTS: usize = 64;
 // started at any point sees the counters accumulated so far.
 
 static EXPLORE_EXECS: AtomicU64 = AtomicU64::new(0);
+static FRONTIER_DEPTH: AtomicU64 = AtomicU64::new(0);
+static SLEEP_HITS: AtomicU64 = AtomicU64::new(0);
 static EST_PATHS: AtomicU64 = AtomicU64::new(0);
 static EST_TOTAL: AtomicU64 = AtomicU64::new(0);
 static EST_PERCENT_X1000: AtomicU64 = AtomicU64::new(0);
@@ -90,9 +92,18 @@ pub fn count_exec() {
     EXPLORE_EXECS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The completed-execution total published so far.
-pub fn explore_execs() -> u64 {
-    EXPLORE_EXECS.load(Ordering::Relaxed)
+/// Publishes the current DFS frontier depth (also sampled as the
+/// `frontier_depth` counter track when tracing is on).
+pub fn gauge_frontier_depth(depth: u64) {
+    FRONTIER_DEPTH.store(depth, Ordering::Relaxed);
+    crate::trace::counter("frontier_depth", depth);
+}
+
+/// Publishes the running DPOR sleep-set hit total (also sampled as the
+/// `sleep_set_hits` counter track when tracing is on).
+pub fn gauge_sleep_hits(total: u64) {
+    SLEEP_HITS.store(total, Ordering::Relaxed);
+    crate::trace::counter("sleep_set_hits", total);
 }
 
 /// Publishes the current state-space estimate (called by the work
@@ -101,16 +112,6 @@ pub fn gauge_estimate(est: &Estimate) {
     EST_PATHS.store(est.paths, Ordering::Relaxed);
     EST_TOTAL.store(est.est_total_execs(), Ordering::Relaxed);
     EST_PERCENT_X1000.store(est.percent_x1000(), Ordering::Relaxed);
-}
-
-/// The last published estimate as `(paths, est_total_execs,
-/// percent × 1000)` — what progress lines read.
-pub fn estimate_gauges() -> (u64, u64, u64) {
-    (
-        EST_PATHS.load(Ordering::Relaxed),
-        EST_TOTAL.load(Ordering::Relaxed),
-        EST_PERCENT_X1000.load(Ordering::Relaxed),
-    )
 }
 
 /// Publishes worker `index`'s load-balance counters into its registry
@@ -128,16 +129,13 @@ pub fn gauge_worker(index: usize, w: &WorkerStats) {
     WORKER_COUNT.fetch_max(index + 1, Ordering::Relaxed);
 }
 
-/// Publishes the soak engine's epoch accounting and governor state.
-pub fn gauge_soak(sealed: u64, checked: u64, shed: u64, per_mille: u64) {
+/// Publishes the soak engine's epoch accounting, governor state and
+/// cumulative recorded-operation total.
+pub fn gauge_soak(sealed: u64, checked: u64, shed: u64, per_mille: u64, ops: u64) {
     SOAK_SEALED.store(sealed, Ordering::Relaxed);
     SOAK_CHECKED.store(checked, Ordering::Relaxed);
     SOAK_SHED.store(shed, Ordering::Relaxed);
     SOAK_PER_MILLE.store(per_mille, Ordering::Relaxed);
-}
-
-/// Publishes the soak engine's cumulative recorded-operation total.
-pub fn gauge_soak_ops(ops: u64) {
     SOAK_OPS.store(ops, Ordering::Relaxed);
 }
 
@@ -147,9 +145,10 @@ pub fn gauge_soak_ops(ops: u64) {
 pub struct Snapshot {
     /// Executions completed by the exploration engine.
     pub execs: u64,
-    /// Current DFS frontier depth ([`crate::trace::frontier_depth`]).
+    /// Current DFS frontier depth (best-effort under concurrent
+    /// explorations).
     pub frontier_depth: u64,
-    /// DPOR sleep-set hits ([`crate::trace::sleep_hits`]).
+    /// Running DPOR sleep-set hit total of the current exploration.
     pub sleep_hits: u64,
     /// Completed estimator paths.
     pub est_paths: u64,
@@ -173,8 +172,8 @@ pub struct Snapshot {
     pub soak_ops: u64,
 }
 
-/// Reads the whole registry (plus the gauges [`crate::trace`] already
-/// maintains and [`crate::global_reuse`]) into a [`Snapshot`].
+/// Reads the whole registry (plus [`crate::global_reuse`]) into a
+/// [`Snapshot`].
 pub fn snapshot() -> Snapshot {
     let n = WORKER_COUNT.load(Ordering::Relaxed).min(MAX_WORKER_SLOTS);
     let workers = WORKER_SLOTS[..n]
@@ -187,9 +186,9 @@ pub fn snapshot() -> Snapshot {
         })
         .collect();
     Snapshot {
-        execs: explore_execs(),
-        frontier_depth: crate::trace::frontier_depth(),
-        sleep_hits: crate::trace::sleep_hits(),
+        execs: EXPLORE_EXECS.load(Ordering::Relaxed),
+        frontier_depth: FRONTIER_DEPTH.load(Ordering::Relaxed),
+        sleep_hits: SLEEP_HITS.load(Ordering::Relaxed),
         est_paths: EST_PATHS.load(Ordering::Relaxed),
         est_total_execs: EST_TOTAL.load(Ordering::Relaxed),
         percent_x1000: EST_PERCENT_X1000.load(Ordering::Relaxed),
@@ -356,7 +355,8 @@ pub fn start(path: impl Into<PathBuf>) -> io::Result<()> {
 
 /// Starts a sampler session if `COMPASS_TELEMETRY=<path>` is set (the
 /// hook every `e*` binary calls first thing, next to
-/// [`crate::trace::init_from_env`]). Returns whether it started.
+/// [`crate::trace::init_from_env`], through `compass_bench`'s
+/// `Sessions`). Returns whether it started.
 pub fn init_from_env() -> bool {
     match std::env::var_os("COMPASS_TELEMETRY") {
         Some(path) if !path.is_empty() => match start(PathBuf::from(path)) {

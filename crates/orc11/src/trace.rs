@@ -307,10 +307,7 @@ impl Drop for Span {
 }
 
 // ---------------------------------------------------------------------
-// Counters and gauges.
-
-static FRONTIER_DEPTH: AtomicU64 = AtomicU64::new(0);
-static SLEEP_HITS: AtomicU64 = AtomicU64::new(0);
+// Counter tracks.
 
 /// Records a counter sample on this thread's track (no-op when no
 /// session is active).
@@ -318,34 +315,6 @@ pub fn counter(name: &'static str, value: u64) {
     if enabled() {
         record_event(EventKind::Counter, "counter", name, value);
     }
-}
-
-/// Publishes the current DFS frontier depth: readable via
-/// [`frontier_depth`] (progress lines) and sampled as a counter track
-/// when tracing is on.
-pub fn gauge_frontier_depth(depth: u64) {
-    FRONTIER_DEPTH.store(depth, Ordering::Relaxed);
-    counter("frontier_depth", depth);
-}
-
-/// The last published DFS frontier depth (process-wide; best-effort
-/// under concurrent explorations).
-pub fn frontier_depth() -> u64 {
-    FRONTIER_DEPTH.load(Ordering::Relaxed)
-}
-
-/// Publishes the running DPOR sleep-set hit total (counter track
-/// `sleep_set_hits`).
-pub fn gauge_sleep_hits(total: u64) {
-    SLEEP_HITS.store(total, Ordering::Relaxed);
-    counter("sleep_set_hits", total);
-}
-
-/// The last published DPOR sleep-set hit total (process-wide;
-/// best-effort under concurrent explorations — the telemetry sampler's
-/// reader).
-pub fn sleep_hits() -> u64 {
-    SLEEP_HITS.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------
@@ -600,7 +569,8 @@ pub fn start(path: impl Into<PathBuf>) -> io::Result<()> {
 }
 
 /// Starts a session from `COMPASS_TRACE=<path>` if set (the hook every
-/// `e*` binary calls first thing). Returns whether a session started.
+/// `e*` binary calls first thing, through `compass_bench`'s
+/// `Sessions`). Returns whether a session started.
 pub fn init_from_env() -> bool {
     let Some(path) = std::env::var_os("COMPASS_TRACE") else {
         return false;

@@ -23,7 +23,8 @@ use crate::sched::{dfs_strategy, pct_strategy, random_strategy, Choice, Strategy
 use crate::stats::{DporStats, Estimate, WorkerStats};
 use crate::sync::{Condvar, Mutex};
 use crate::telemetry;
-use crate::trace::{gauge_frontier_depth, gauge_sleep_hits, span, Phase};
+use crate::telemetry::{gauge_frontier_depth, gauge_sleep_hits};
+use crate::trace::{span, Phase};
 use std::fmt;
 use std::time::Instant;
 
@@ -141,15 +142,6 @@ impl WorkSpec {
             (WorkSpec::Dfs { budget }, true) => WorkSpec::DfsDpor { budget },
             (WorkSpec::DfsDpor { budget }, false) => WorkSpec::Dfs { budget },
             (spec, _) => spec,
-        }
-    }
-
-    /// Upper bound on the number of executions this spec will perform
-    /// (used for progress reporting).
-    pub fn total(&self) -> u64 {
-        match *self {
-            WorkSpec::Random { iters, .. } | WorkSpec::Pct { iters, .. } => iters,
-            WorkSpec::Dfs { budget } | WorkSpec::DfsDpor { budget } => budget,
         }
     }
 }

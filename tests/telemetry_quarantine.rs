@@ -6,17 +6,20 @@
 //! pin the whole contract end to end: reports and replay bundles
 //! byte-identical with a telemetry session on versus off at 1 and 4
 //! threads; the sampler stream structurally valid with estimator
-//! samples present; and the state-space estimate exact on exhausted
+//! samples present; the gauges a live reader sees equal to the final
+//! reports' counts; and the state-space estimate exact on exhausted
 //! plain-DFS litmus explorations.
 //!
-//! The telemetry session and the estimate gauges are process-wide, so
-//! every test that uses them serializes on [`TELEMETRY_LOCK`].
+//! The telemetry session and the gauges are process-wide, so every
+//! test that uses them serializes on [`TELEMETRY_LOCK`].
 
 mod common;
 
 use std::sync::{Mutex, PoisonError};
 
 use common::{relaxed_queue_run, SEEDED};
+use compass::queue_spec::QueueEvent;
+use compass::soak::{SoakEngine, SoakOp, SoakOptions};
 use orc11::litmus::{gallery, Litmus};
 use orc11::{run_model, telemetry, BodyFn, Config, Explorer, Json, Mode, ThreadCtx, Val, WorkSpec};
 
@@ -162,6 +165,112 @@ fn sampler_stream_validates_with_estimator_samples() {
         .expect("second session stops cleanly")
         .expect("was active");
     let _ = std::fs::remove_file(&tmp);
+}
+
+/// The stream's `final` sample reads the DPOR sleep-set hit total the
+/// exploration report ends with: the work source publishes the running
+/// total as each execution completes.
+#[test]
+fn final_sample_reads_the_reports_sleep_hits() {
+    let _guard = serialize();
+    let tmp = std::env::temp_dir().join(format!(
+        "compass-telemetry-sleep-{}.jsonl",
+        std::process::id()
+    ));
+    telemetry::start(&tmp).expect("no other telemetry session active");
+    // Three relaxed writers to one location: every pair conflicts, so
+    // DPOR revisits orders its sleep sets then cut short.
+    let report = Explorer::serial().explore(
+        &WorkSpec::DfsDpor { budget: 10_000 },
+        &|strategy: Box<dyn orc11::Strategy>| {
+            let writer = |v: i64| {
+                Box::new(move |ctx: &mut ThreadCtx, &x: &orc11::Loc| {
+                    ctx.write(x, Val::Int(v), Mode::Relaxed);
+                }) as BodyFn<'_, _, ()>
+            };
+            run_model(
+                &Config::default(),
+                strategy,
+                |ctx| ctx.alloc("x", Val::Int(0)),
+                vec![writer(1), writer(2), writer(3)],
+                |_, _, _| (),
+            )
+        },
+        |_, _| {},
+    );
+    telemetry::finish()
+        .expect("telemetry file writable")
+        .expect("session was active");
+    assert!(report.exhausted);
+    let sleep_hits = report.dpor.expect("DPOR run has stats").sleep_hits;
+    assert!(sleep_hits > 0, "the program must exercise sleep sets");
+    let text = std::fs::read_to_string(&tmp).expect("read telemetry stream");
+    let last = Json::parse(text.lines().last().expect("final line")).expect("final is JSON");
+    assert_eq!(last.get("kind"), Some(&Json::Str("final".to_string())));
+    assert_eq!(
+        last.get("explore").and_then(|e| e.get("sleep_hits")),
+        Some(&Json::Int(sleep_hits as i64)),
+        "final sample's explore.sleep_hits"
+    );
+    let _ = std::fs::remove_file(&tmp);
+}
+
+/// After a soak run finishes, the registry's soak gauges equal the
+/// report's epoch and operation accounting.
+#[test]
+fn soak_gauges_match_the_finished_report() {
+    let _guard = serialize();
+    let op = |thread: usize, op: QueueEvent, inv: u64| SoakOp {
+        thread,
+        op,
+        inv,
+        resp: inv + 1,
+    };
+    let mut engine = SoakEngine::<QueueEvent>::start(
+        "telemetry-soak",
+        SoakOptions {
+            checkers: 1,
+            max_epoch_events: 4,
+            ..SoakOptions::default()
+        },
+    );
+    // Epochs of one enqueue and its dequeue, plus one epoch over the
+    // event budget that is shed unchecked.
+    for e in 0..8u64 {
+        let base = e * 100;
+        let v = Val::Int(e as i64);
+        let mut batch = vec![
+            op(0, QueueEvent::Enq(v), base),
+            op(1, QueueEvent::Deq(v), base + 10),
+        ];
+        if e == 5 {
+            for i in 0..2u64 {
+                let w = Val::Int(100 + i as i64);
+                batch.push(op(0, QueueEvent::Enq(w), base + 20 + 20 * i));
+                batch.push(op(1, QueueEvent::Deq(w), base + 30 + 20 * i));
+            }
+        }
+        engine.submit(e, batch);
+    }
+    engine.mutators_done();
+    let report = engine.finish();
+    assert!(report.clean(), "violations: {:?}", report.violations);
+    assert!(report.epochs_shed > 0, "{report:?}");
+    let snap = telemetry::snapshot();
+    assert_eq!(
+        (
+            snap.soak_sealed,
+            snap.soak_checked,
+            snap.soak_shed,
+            snap.soak_ops
+        ),
+        (
+            report.epochs_sealed,
+            report.epochs_checked,
+            report.epochs_shed,
+            report.ops_recorded
+        )
+    );
 }
 
 /// At plain-DFS exhaustion the mass-based estimator is *exact*: every
