@@ -219,7 +219,7 @@ pub fn check_dealloc_hb(g: &Graph<ArcEvent>) -> SpecResult {
             vec![d],
         ));
     };
-    if !g.event(d).logview.contains(&last) {
+    if !g.in_logview(last, d) {
         return Err(Violation::new(
             "ARC-DEALLOC-HB",
             format!("dealloc {d} does not happen-after the final drop {last}"),
@@ -235,9 +235,8 @@ pub fn check_uaf(g: &Graph<ArcEvent>) -> SpecResult {
     let Some(d) = dealloc_of(g) else {
         return Ok(());
     };
-    let view = &g.event(d).logview;
     for (id, ev) in g.iter() {
-        if ev.ty.is_strong() && !view.contains(&id) {
+        if ev.ty.is_strong() && !g.in_logview(id, d) {
             return Err(Violation::new(
                 "ARC-UAF",
                 format!(
@@ -290,7 +289,7 @@ mod tests {
             let mut lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
             let mut closed = lv.clone();
             for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+                closed.extend(g.logview(p));
             }
             lv = closed;
             lv.insert(id(i as u64));

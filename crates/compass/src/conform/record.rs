@@ -8,7 +8,6 @@
 //! before `b` was invoked. See the module docs of [`crate::conform`] for
 //! why that under-approximation is the sound direction.
 
-use std::collections::BTreeSet;
 use std::io;
 
 use orc11::ThreadId;
@@ -102,8 +101,8 @@ impl<E: ConformEvent> History<E> {
     /// take its own reconstruction on trust — which costs one row-subset
     /// test per ordered pair, `|lhb| · ⌈n/64⌉` word operations (about a
     /// millisecond at 512 near-sequential events). Building the graph is
-    /// the `n²/2` timestamp comparisons below plus one logview entry and
-    /// one row bit per ordered pair.
+    /// the `n²/2` timestamp comparisons below plus one row bit per
+    /// ordered pair; no predecessor set is built.
     /// Same-thread operations are sequential, hence automatically ordered
     /// (program order is a sub-order of interval order).
     ///
@@ -116,13 +115,12 @@ impl<E: ConformEvent> History<E> {
         flat.sort_by_key(|&(tid, t)| (t.inv, t.resp, tid));
         let mut g = Graph::new();
         for (i, &(tid, t)) in flat.iter().enumerate() {
-            let mut logview: BTreeSet<EventId> = flat[..i]
+            let logview = flat[..i]
                 .iter()
                 .enumerate()
                 .filter(|(_, &(_, p))| p.resp < t.inv)
                 .map(|(j, _)| EventId::from_raw(j as u64))
-                .collect();
-            logview.insert(EventId::from_raw(i as u64));
+                .chain([EventId::from_raw(i as u64)]);
             g.add_event(t.op, tid, i as u64, logview);
         }
         g

@@ -271,7 +271,7 @@ mod tests {
             let lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
             let mut closed = lv.clone();
             for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+                closed.extend(g.logview(p));
             }
             let mut lv = closed;
             lv.insert(id(i as u64));

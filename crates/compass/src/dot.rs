@@ -24,9 +24,9 @@ use crate::graph::Graph;
 /// use compass::{EventId, Graph};
 ///
 /// let mut g: Graph<&str> = Graph::new();
-/// let a = g.add_event("Enq(1)", 1, 5, [EventId::from_raw(0)].into_iter().collect());
+/// let a = g.add_event("Enq(1)", 1, 5, [EventId::from_raw(0)]);
 /// let b = g.add_event("Deq(1)", 2, 9,
-///                     [EventId::from_raw(0), EventId::from_raw(1)].into_iter().collect());
+///                     [EventId::from_raw(0), EventId::from_raw(1)]);
 /// g.add_so(a, b);
 /// let dot = to_dot(&g, "mp");
 /// assert!(dot.contains("digraph mp"));

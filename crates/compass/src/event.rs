@@ -1,6 +1,5 @@
 //! Events: the nodes of a library's event graph.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use orc11::ThreadId;
@@ -44,10 +43,14 @@ impl fmt::Display for EventId {
 /// An event of a library object (the paper's `Event` type, §3.1): an event
 /// type plus the *logical view* recorded at the operation's commit point.
 ///
-/// The paper also records the commit point's physical view; here the
-/// physical view lives in the model and the event instead records the
-/// global `step` index of its commit instruction, which serves as the
-/// commit order (the `<` of §4.2).
+/// The logical view — all events of the object that happen before this
+/// one, the event itself included — is stored by the graph, as the
+/// event's bit row: `e ∈ G(d).logview` (the paper's `(e, d) ∈ G.lhb`) is
+/// [`crate::Graph::in_logview`], and [`crate::Graph::logview`] derives
+/// the set. The paper also records the commit point's physical view;
+/// here the physical view lives in the model and the event instead
+/// records the global `step` index of its commit instruction, which
+/// serves as the commit order (the `<` of §4.2).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event<T> {
     /// The event type (e.g. `Enq(v)`, `Deq(v)`, `EmpDeq`).
@@ -57,9 +60,6 @@ pub struct Event<T> {
     /// Global step index of the commit instruction. Events committed by
     /// the same instruction (helping pairs) share a step.
     pub step: u64,
-    /// All events of this object that happen before this event — including
-    /// the event itself. `e ∈ G(d).logview` is the paper's `(e, d) ∈ G.lhb`.
-    pub logview: BTreeSet<EventId>,
 }
 
 #[cfg(test)]

@@ -133,7 +133,7 @@ pub fn check_atomic_pairs(g: &Graph<ExchangeEvent>) -> SpecResult {
                 vec![a, b],
             ));
         }
-        if !ea.logview.contains(&b) || !eb.logview.contains(&a) || ea.logview != eb.logview {
+        if !g.in_logview(b, a) || !g.in_logview(a, b) || !g.same_logview(a, b) {
             return Err(Violation::new(
                 "EXCHANGER-ATOMIC-PAIRS",
                 format!("pair ({a}, {b}) does not share the completed logview M'"),
@@ -217,7 +217,7 @@ mod tests {
             },
             1,
             1,
-            [id(0)].into_iter().collect(),
+            [id(0)],
         );
         check_exchanger_consistent(&g).unwrap();
     }
@@ -232,7 +232,7 @@ mod tests {
             },
             1,
             1,
-            [id(0)].into_iter().collect(),
+            [id(0)],
         );
         assert_eq!(
             check_exchanger_consistent(&g).unwrap_err().rule,
@@ -250,7 +250,7 @@ mod tests {
             },
             3,
             9,
-            [id(2)].into_iter().collect(),
+            [id(2)],
         );
         g.add_so(id(0), id(2));
         assert_eq!(check_symmetric(&g).unwrap_err().rule, "EXCHANGER-SYM");

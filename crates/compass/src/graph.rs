@@ -16,19 +16,18 @@ use crate::spec::{SpecResult, Violation};
 ///
 /// Local happens-before (`lhb`) is not a relation of its own:
 /// `(e, d) ∈ G.lhb` iff `e ∈ G(d).logview` (see [`Graph::lhb`]). The
-/// logviews are the public, printed form; next to them the graph keeps
-/// one dense bit row per event (bit `e` of row `d` ⇔ `e ∈ logview(d)`),
-/// so an `lhb` question is a bit test and a closure or readiness
-/// question a few word operations per row. The rows are derived data:
-/// they take no part in `==` or `{:?}`.
+/// graph stores each event's logview as one dense bit row (bit `e` of
+/// row `d` ⇔ `e ∈ logview(d)`), so an `lhb` question is a bit test and a
+/// closure or readiness question a few word operations per row. The set
+/// form is derived for printing ([`Graph::logview`]); `==` and `{:?}`
+/// compare and print the logviews as sets, as if they were stored.
 ///
 /// ```
 /// use compass::{EventId, Graph};
 ///
 /// let mut g: Graph<&str> = Graph::new();
-/// let e = g.add_event("enq", 1, 10, [EventId::from_raw(0)].into_iter().collect());
-/// let d = g.add_event("deq", 2, 20,
-///                     [EventId::from_raw(0), EventId::from_raw(1)].into_iter().collect());
+/// let e = g.add_event("enq", 1, 10, [EventId::from_raw(0)]);
+/// let d = g.add_event("deq", 2, 20, [EventId::from_raw(0), EventId::from_raw(1)]);
 /// g.add_so(e, d);
 /// assert!(g.lhb(e, d));
 /// assert_eq!(g.so_source(d), Some(e));
@@ -44,16 +43,22 @@ pub struct Graph<T> {
     /// Words per row: `events.len().div_ceil(64)`.
     stride: usize,
     /// The logview entries `(d, e)` the rows cannot hold because `e` is
-    /// not an event (yet), in `(d, e)` order. A helping pair puts the
-    /// second event's id in the first one's logview, and the entry moves
-    /// into the rows when that event is added; an id that never becomes
-    /// an event stays here, which is what `WF-LOGVIEW` reports.
+    /// not an event (yet), sorted by `(d, e)` without duplicates. A
+    /// helping pair built by hand puts the second event's id in the first
+    /// one's logview, and the entry moves into the rows when that event
+    /// is added; an id that never becomes an event stays here, which is
+    /// what `WF-LOGVIEW` reports.
     forward: Vec<(EventId, EventId)>,
 }
 
 impl<T: PartialEq> PartialEq for Graph<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.events == other.events && self.so == other.so
+        // Equal lengths give equal strides, and `forward` is canonical,
+        // so equal rows and forward lists are equal logviews.
+        self.events == other.events
+            && self.so == other.so
+            && self.rows == other.rows
+            && self.forward == other.forward
     }
 }
 
@@ -61,8 +66,35 @@ impl<T: Eq> Eq for Graph<T> {}
 
 impl<T: fmt::Debug> fmt::Debug for Graph<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Printed as if each event stored its logview set.
+        struct Logview<'g, T>(&'g Graph<T>, EventId);
+        impl<T> fmt::Debug for Logview<'_, T> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0.logview_ids(self.1)).finish()
+            }
+        }
+        struct Stored<'g, T>(&'g Graph<T>, EventId);
+        impl<T: fmt::Debug> fmt::Debug for Stored<'_, T> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let ev = self.0.event(self.1);
+                f.debug_struct("Event")
+                    .field("ty", &ev.ty)
+                    .field("tid", &ev.tid)
+                    .field("step", &ev.step)
+                    .field("logview", &Logview(self.0, self.1))
+                    .finish()
+            }
+        }
+        struct Events<'g, T>(&'g Graph<T>);
+        impl<T: fmt::Debug> fmt::Debug for Events<'_, T> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list()
+                    .entries(self.0.iter().map(|(id, _)| Stored(self.0, id)))
+                    .finish()
+            }
+        }
         f.debug_struct("Graph")
-            .field("events", &self.events)
+            .field("events", &Events(self))
             .field("so", &self.so)
             .finish()
     }
@@ -123,13 +155,58 @@ impl<T> Graph<T> {
     ///
     /// Panics if `d` is not in the graph.
     pub fn lhb(&self, e: EventId, d: EventId) -> bool {
-        if e == d {
-            false
-        } else if e.index() < self.events.len() {
+        e != d && self.in_logview(e, d)
+    }
+
+    /// Whether `e ∈ logview(d)` (`d` itself included when the graph is
+    /// well formed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is not in the graph.
+    pub fn in_logview(&self, e: EventId, d: EventId) -> bool {
+        if e.index() < self.events.len() {
             bits::test(self.row(d), e.index())
         } else {
-            self.forward.contains(&(d, e))
+            self.forward.binary_search(&(d, e)).is_ok()
         }
+    }
+
+    /// Whether `a` and `b` have the same logview.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is not in the graph.
+    pub fn same_logview(&self, a: EventId, b: EventId) -> bool {
+        self.row(a) == self.row(b) && self.forward_of(a).eq(self.forward_of(b))
+    }
+
+    /// `d`'s logview as a set — for printers and tests; checks ask
+    /// [`Graph::lhb`] or [`Graph::in_logview`], which allocate nothing.
+    /// The set is the row's bits plus the ids `d`'s logview names that
+    /// are not events (yet).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is not in the graph.
+    pub fn logview(&self, d: EventId) -> BTreeSet<EventId> {
+        self.logview_ids(d).collect()
+    }
+
+    /// The ids of `d`'s logview, ascending, without allocating.
+    pub(crate) fn logview_ids(&self, d: EventId) -> impl Iterator<Item = EventId> + '_ {
+        bits::ones(self.row(d))
+            .map(|e| EventId::from_raw(e as u64))
+            .chain(self.forward_of(d))
+    }
+
+    /// The pending forward references of `d`'s logview, ascending.
+    fn forward_of(&self, d: EventId) -> impl Iterator<Item = EventId> + '_ {
+        let start = self.forward.partition_point(|&(x, _)| x < d);
+        self.forward[start..]
+            .iter()
+            .take_while(move |&&(x, _)| x == d)
+            .map(|&(_, e)| e)
     }
 
     /// The dense form of `d`'s logview: bit `e` is set iff
@@ -139,43 +216,91 @@ impl<T> Graph<T> {
         &self.rows[d.index() * self.stride..][..self.stride]
     }
 
-    /// Adds an event; returns its id.
+    /// Adds an event whose logview is `logview`; returns its id.
+    ///
+    /// The ids go into the event's bit row; an id that is not an event
+    /// yet (the other half of a helping pair) is kept aside and moves
+    /// into the row when that event is added.
     pub fn add_event(
         &mut self,
         ty: T,
         tid: ThreadId,
         step: u64,
-        logview: BTreeSet<EventId>,
+        logview: impl IntoIterator<Item = EventId>,
     ) -> EventId {
-        let id = self.next_id();
-        if id.index() == self.stride * 64 {
-            self.widen_rows();
-        }
+        let id = self.push_row();
         let stride = self.stride;
-        self.rows.resize(self.rows.len() + stride, 0);
         let row = &mut self.rows[id.index() * stride..];
-        for &e in &logview {
+        let pending = self.forward.len();
+        for e in logview {
             if e <= id {
                 bits::set(row, e.index());
             } else {
                 self.forward.push((id, e));
             }
         }
-        // `id` may be the forward reference of an earlier logview.
-        let rows = &mut self.rows;
+        self.forward[pending..].sort_unstable();
+        self.forward.dedup();
+        self.resolve_forward(id);
+        self.events.push(Event { ty, tid, step });
+        id
+    }
+
+    /// Adds `events`, committed together at `step`, with one shared
+    /// logview: the earlier events whose bits `fill` sets in a zeroed
+    /// row (one word per 64 events), plus all of `events`. Returns
+    /// their ids.
+    pub(crate) fn add_group<const N: usize>(
+        &mut self,
+        step: u64,
+        events: [(ThreadId, T); N],
+        fill: impl FnOnce(&mut [u64]),
+    ) -> [EventId; N] {
+        let first = self.next_id();
+        let ids: [EventId; N] = std::array::from_fn(|i| EventId::from_raw(first.raw() + i as u64));
+        let Some(&last) = ids.last() else {
+            return ids;
+        };
+        self.push_row();
+        while last.index() >= self.stride * 64 {
+            self.widen_rows();
+        }
+        let stride = self.stride;
+        let row = first.index() * stride;
+        fill(&mut self.rows[row..row + stride]);
+        for id in ids {
+            bits::set(&mut self.rows[row..], id.index());
+        }
+        for _ in 1..N {
+            self.rows.extend_from_within(row..row + stride);
+        }
+        for (id, (tid, ty)) in ids.into_iter().zip(events) {
+            self.resolve_forward(id);
+            self.events.push(Event { ty, tid, step });
+        }
+        ids
+    }
+
+    /// Appends a zeroed row for the next event, widening every row
+    /// first if it has no bit for it; returns the next event's id.
+    fn push_row(&mut self) -> EventId {
+        let id = self.next_id();
+        if id.index() == self.stride * 64 {
+            self.widen_rows();
+        }
+        self.rows.resize(self.rows.len() + self.stride, 0);
+        id
+    }
+
+    /// Moves the forward references to the new event `id` into the rows.
+    fn resolve_forward(&mut self, id: EventId) {
+        let (rows, stride) = (&mut self.rows, self.stride);
         self.forward.retain(|&(d, e)| {
             if e == id {
                 bits::set(&mut rows[d.index() * stride..], id.index());
             }
             e != id
         });
-        self.events.push(Event {
-            ty,
-            tid,
-            step,
-            logview,
-        });
-        id
     }
 
     /// Gives every row one more word. Runs once per 64 events, so the
@@ -284,12 +409,10 @@ impl<T> Graph<T> {
         let mut g = Graph::new();
         for (id, ev) in self.iter() {
             if let Some(new_id) = remap[id.index()] {
-                let logview: BTreeSet<EventId> = ev
-                    .logview
-                    .iter()
+                let logview = self
+                    .logview_ids(id)
                     .filter_map(|e| remap.get(e.index()).copied().flatten())
-                    .chain(std::iter::once(new_id))
-                    .collect();
+                    .chain(std::iter::once(new_id));
                 g.add_event(ev.ty.clone(), ev.tid, ev.step, logview);
             }
         }
@@ -313,8 +436,8 @@ impl<T> Graph<T> {
     {
         let keep = |id: EventId| self.events[id.index()].step < step;
         let mut g = Graph::new();
-        for e in self.events.iter().take_while(|e| e.step < step) {
-            let logview = e.logview.iter().copied().filter(|&x| keep(x)).collect();
+        for (id, e) in self.iter().take_while(|(_, e)| e.step < step) {
+            let logview = self.logview_ids(id).filter(|&x| keep(x));
             g.add_event(e.ty.clone(), e.tid, e.step, logview);
         }
         g.so = self
@@ -337,7 +460,9 @@ impl<T: fmt::Debug> fmt::Display for Graph<T> {
                 ev.ty,
                 ev.tid,
                 ev.step,
-                ev.logview.iter().filter(|&&e| e != id).collect::<Vec<_>>()
+                self.logview_ids(id)
+                    .filter(|&e| e != id)
+                    .collect::<Vec<_>>()
             )?;
         }
         writeln!(f, "  so: {:?}", self.so)

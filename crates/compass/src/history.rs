@@ -191,9 +191,9 @@ pub fn take_search_stats() -> SearchStats {
 /// // order is not sequential, but a reordering exists.
 /// let mut g = Graph::new();
 /// g.add_event(QueueEvent::Deq(Val::Int(1)), 2, 10,
-///             [EventId::from_raw(0)].into_iter().collect());
+///             [EventId::from_raw(0)]);
 /// g.add_event(QueueEvent::Enq(Val::Int(1)), 1, 20,
-///             [EventId::from_raw(1)].into_iter().collect());
+///             [EventId::from_raw(1)]);
 /// let to = find_linearization(&g, &QueueInterp, &[]).expect("linearizable");
 /// assert_eq!(to, vec![EventId::from_raw(1), EventId::from_raw(0)]);
 /// ```
@@ -337,8 +337,8 @@ pub fn validate_linearization<I: SeqInterp>(
         }
         pos[id.index()] = k;
     }
-    for (d, ev) in g.iter() {
-        for &e in &ev.logview {
+    for (d, _) in g.iter() {
+        for e in g.logview_ids(d) {
             if e == d {
                 continue;
             }
@@ -403,7 +403,7 @@ mod tests {
             let mut lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
             let mut closed = lv.clone();
             for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+                closed.extend(g.logview(p));
             }
             lv = closed;
             lv.insert(id(i as u64));

@@ -1,7 +1,7 @@
 //! Library objects: shared graphs plus the commit-point API.
 
-use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use orc11::sync::{Mutex, MutexGuard};
 
@@ -32,9 +32,42 @@ use crate::graph::Graph;
 /// release/acquire synchronization with no state of its own.
 pub struct LibObj<T> {
     name: String,
-    graph: Mutex<Graph<T>>,
+    state: Mutex<State<T>>,
+}
+
+/// The graph and its events' epochs, locked together.
+struct State<T> {
+    graph: Graph<T>,
     /// Entry `i` is event `i`'s commit epoch.
-    epochs: Mutex<Vec<(ThreadId, u64)>>,
+    epochs: Vec<(ThreadId, u64)>,
+}
+
+/// Sets in `row` the bits of the events whose commit epoch (`epochs[e]`)
+/// `clock` covers, one word per 64 events.
+fn fill_row(epochs: &[(ThreadId, u64)], clock: &VecClock, row: &mut [u64]) {
+    for (word, epochs) in row.iter_mut().zip(epochs.chunks(64)) {
+        *word |= (0..)
+            .zip(epochs)
+            .filter(|&(_, &(t, c))| clock.get(t) >= c)
+            .fold(0, |w, (i, _)| w | 1 << i);
+    }
+}
+
+/// [`LibObj::graph`]'s lock guard.
+struct GraphGuard<'a, T>(MutexGuard<'a, State<T>>);
+
+impl<T> Deref for GraphGuard<'_, T> {
+    type Target = Graph<T>;
+
+    fn deref(&self) -> &Graph<T> {
+        &self.0.graph
+    }
+}
+
+impl<T> DerefMut for GraphGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut Graph<T> {
+        &mut self.0.graph
+    }
 }
 
 impl<T> fmt::Debug for LibObj<T> {
@@ -48,8 +81,10 @@ impl<T> LibObj<T> {
     pub fn new(name: &str) -> Self {
         LibObj {
             name: name.to_string(),
-            graph: Mutex::new(Graph::new()),
-            epochs: Mutex::new(Vec::new()),
+            state: Mutex::new(State {
+                graph: Graph::new(),
+                epochs: Vec::new(),
+            }),
         }
     }
 
@@ -62,8 +97,8 @@ impl<T> LibObj<T> {
     ///
     /// Safe to call from commit windows (the model's turnstile already
     /// serializes them) and from the finish phase.
-    pub fn graph(&self) -> MutexGuard<'_, Graph<T>> {
-        self.graph.lock()
+    pub fn graph(&self) -> impl DerefMut<Target = Graph<T>> + '_ {
+        GraphGuard(self.state.lock())
     }
 
     /// A clone of the current graph.
@@ -71,21 +106,17 @@ impl<T> LibObj<T> {
     where
         T: Clone,
     {
-        self.graph.lock().clone()
+        self.state.lock().graph.clone()
     }
 
-    /// The events whose commit epoch `clock` covers.
-    fn logview(&self, clock: &VecClock) -> BTreeSet<EventId> {
-        (0..)
-            .zip(self.epochs.lock().iter())
-            .filter(|&(_, &(t, c))| clock.get(t) >= c)
-            .map(|(i, _)| EventId::from_raw(i))
-            .collect()
-    }
-
-    /// The calling thread's logical view of this object (its `M₀`).
-    pub fn seen(&self, ctx: &ThreadCtx) -> BTreeSet<EventId> {
-        self.logview(&ctx.clock())
+    /// The calling thread's logical view of this object (its `M₀`) as a
+    /// bit row: bit `e` is set iff event `e` happens before the thread's
+    /// current point.
+    pub(crate) fn seen_row(&self, ctx: &ThreadCtx) -> Vec<u64> {
+        let st = self.state.lock();
+        let mut row = vec![0; st.epochs.len().div_ceil(64)];
+        fill_row(&st.epochs, &ctx.clock(), &mut row);
+        row
     }
 
     /// Commits `events` in one commit window. They share one logical view
@@ -98,21 +129,11 @@ impl<T> LibObj<T> {
     ) -> [EventId; N] {
         let clock = gh.clock();
         let epoch = (gh.tid(), clock.get(gh.tid()));
-        let mut logview = self.logview(clock);
         let step = gh.step_index();
-        let mut g = self.graph.lock();
-        let first = g.next_id().raw();
-        let ids = std::array::from_fn(|i| EventId::from_raw(first + i as u64));
-        logview.extend(ids);
-        for (i, (tid, ty)) in events.into_iter().enumerate() {
-            let lv = if i + 1 == N {
-                std::mem::take(&mut logview)
-            } else {
-                logview.clone()
-            };
-            g.add_event(ty, tid, step, lv);
-        }
-        self.epochs.lock().extend([epoch; N]);
+        let mut st = self.state.lock();
+        let State { graph, epochs } = &mut *st;
+        let ids = graph.add_group(step, events, |row| fill_row(epochs, clock, row));
+        epochs.extend([epoch; N]);
         ids
     }
 
@@ -140,7 +161,7 @@ impl<T> LibObj<T> {
     /// from `source` (e.g. the enqueue a dequeue takes its value from).
     pub fn commit_matched(&self, gh: &mut GhostHandle<'_>, ty: T, source: EventId) -> EventId {
         let id = self.commit(gh, ty);
-        self.graph.lock().add_so(source, id);
+        self.graph().add_so(source, id);
         id
     }
 
@@ -169,7 +190,7 @@ impl<T> LibObj<T> {
         so_edges: &[(usize, usize)],
     ) -> (EventId, EventId) {
         let ids = self.commit_all(gh, [first, second]);
-        let mut g = self.graph.lock();
+        let mut g = self.graph();
         for &(a, b) in so_edges {
             g.add_so(ids[a], ids[b]);
         }
@@ -180,6 +201,7 @@ impl<T> LibObj<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Seen;
     use orc11::{random_strategy, run_model, BodyFn, Config, Loc, Mode, Val};
 
     #[test]
@@ -197,13 +219,13 @@ mod tests {
                         ctx.write_with(*flag, Val::Int(1), Mode::Release, |gh| {
                             obj.commit(gh, "enq");
                         });
-                        BTreeSet::new()
+                        None
                     },
-                ) as BodyFn<'_, _, BTreeSet<EventId>>,
+                ) as BodyFn<'_, _, Option<Seen>>,
                 Box::new(
                     |ctx: &mut orc11::ThreadCtx, (flag, obj): &(Loc, LibObj<&str>)| {
                         ctx.read_await(*flag, Mode::Acquire, |v| v == Val::Int(1));
-                        obj.seen(ctx)
+                        Some(Seen::capture(obj, ctx))
                     },
                 ),
             ],
@@ -212,7 +234,7 @@ mod tests {
                 g.check_well_formed().unwrap();
                 assert_eq!(g.len(), 1);
                 // The acquiring thread has the event in its logical view.
-                assert!(outs[1].contains(&EventId::from_raw(0)));
+                assert!(outs[1].as_ref().unwrap().observed(EventId::from_raw(0)));
                 g.event(EventId::from_raw(0)).ty
             },
         );
@@ -288,8 +310,7 @@ mod tests {
                 assert_eq!(g.event(a).tid, 7);
                 assert!(g.so().contains(&(a, b)) && g.so().contains(&(b, a)));
                 // Mutual logviews.
-                assert!(g.event(a).logview.contains(&b));
-                assert!(g.event(b).logview.contains(&a));
+                assert!(g.lhb(b, a) && g.lhb(a, b) && g.same_logview(a, b));
                 g.len()
             },
         );

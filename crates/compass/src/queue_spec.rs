@@ -250,7 +250,7 @@ mod tests {
             // Close under lhb.
             let mut closed = lv.clone();
             for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+                closed.extend(g.logview(p));
             }
             lv = closed;
             lv.insert(id(i as u64));

@@ -22,9 +22,9 @@ use crate::spec::Violation;
 ///
 /// let mut g = Graph::new();
 /// g.add_event(QueueEvent::Enq(Val::Int(1)), 1, 1,
-///             [EventId::from_raw(0)].into_iter().collect());
+///             [EventId::from_raw(0)]);
 /// g.add_event(QueueEvent::Deq(Val::Int(9)), 2, 2,
-///             [EventId::from_raw(0), EventId::from_raw(1)].into_iter().collect());
+///             [EventId::from_raw(0), EventId::from_raw(1)]);
 /// g.add_so(EventId::from_raw(0), EventId::from_raw(1));
 /// let violation = check_queue_consistent(&g).unwrap_err();
 /// let report = render_failure(&g, &violation, &[]);
@@ -48,7 +48,7 @@ pub fn render_failure<T: Debug>(g: &Graph<T>, violation: &Violation, ops: &[OpRe
             ev.ty,
             ev.tid,
             ev.step,
-            ev.logview.iter().filter(|&&e| e != id).collect::<Vec<_>>()
+            g.logview_ids(id).filter(|&e| e != id).collect::<Vec<_>>()
         ));
     }
     out.push_str(&format!("  so: {:?}\n", g.so()));
@@ -159,12 +159,7 @@ mod tests {
             },
         );
         let mut g: Graph<QueueEvent> = Graph::new();
-        g.add_event(
-            QueueEvent::Deq(Val::Int(1)),
-            1,
-            1,
-            [EventId::from_raw(0)].into_iter().collect(),
-        );
+        g.add_event(QueueEvent::Deq(Val::Int(1)), 1, 1, [EventId::from_raw(0)]);
         let v = check_queue_consistent(&g).unwrap_err();
         let report = render_failure(&g, &v, &out.ops);
         assert!(report.contains("instruction log"));
@@ -176,19 +171,12 @@ mod tests {
     fn narrative_names_the_events_and_their_orderings() {
         use orc11::Val;
         let mut g: Graph<QueueEvent> = Graph::new();
-        g.add_event(
-            QueueEvent::Enq(Val::Int(1)),
-            1,
-            1,
-            [EventId::from_raw(0)].into_iter().collect(),
-        );
+        g.add_event(QueueEvent::Enq(Val::Int(1)), 1, 1, [EventId::from_raw(0)]);
         g.add_event(
             QueueEvent::Deq(Val::Int(9)),
             2,
             2,
-            [EventId::from_raw(0), EventId::from_raw(1)]
-                .into_iter()
-                .collect(),
+            [EventId::from_raw(0), EventId::from_raw(1)],
         );
         g.add_so(EventId::from_raw(0), EventId::from_raw(1));
         let v = check_queue_consistent(&g).unwrap_err();

@@ -15,9 +15,11 @@
 //!   "the right thread has seen both enqueues".
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use orc11::ThreadCtx;
 
+use crate::bits;
 use crate::event::EventId;
 use crate::graph::Graph;
 use crate::object::LibObj;
@@ -25,33 +27,52 @@ use crate::spec::{SpecResult, Violation};
 
 /// A snapshot of a thread's knowledge about one library object (see
 /// module docs).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Seen {
     /// Number of events in the snapshot `G₀` (ids are commit-ordered, so
     /// the prefix length determines the snapshot).
     pub graph_len: usize,
-    /// The thread's local logical view `M₀`.
-    pub logview: BTreeSet<EventId>,
+    /// The thread's local logical view `M₀` as a bit row over the first
+    /// `graph_len` events.
+    row: Vec<u64>,
 }
 
 impl Seen {
     /// Captures the calling thread's current `Seen` assertion for `obj`.
     pub fn capture<T>(obj: &LibObj<T>, ctx: &ThreadCtx) -> Self {
+        let mut row = obj.seen_row(ctx);
+        // Canonical rows (no trailing zero words) make `==` set equality.
+        while row.last() == Some(&0) {
+            row.pop();
+        }
         Seen {
             graph_len: obj.graph().len(),
-            logview: obj.seen(ctx),
+            row,
         }
     }
 
     /// Whether event `e` is in `M₀`.
     pub fn observed(&self, e: EventId) -> bool {
-        self.logview.contains(&e)
+        e.index() < self.row.len() * 64 && bits::test(&self.row, e.index())
+    }
+
+    /// The ids of `M₀`, ascending.
+    fn observed_ids(&self) -> impl Iterator<Item = EventId> + '_ {
+        bits::ones(&self.row).map(|e| EventId::from_raw(e as u64))
+    }
+
+    /// `M₀` as a set (for printing).
+    pub fn logview(&self) -> BTreeSet<EventId> {
+        self.observed_ids().collect()
     }
 
     /// Monotonicity between two snapshots taken (in order) by one thread:
     /// `G₀ ⊑ G₁` and `M₀ ⊆ M₁`.
     pub fn le(&self, later: &Seen) -> bool {
-        self.graph_len <= later.graph_len && self.logview.is_subset(&later.logview)
+        let (common, rest) = self.row.split_at(self.row.len().min(later.row.len()));
+        self.graph_len <= later.graph_len
+            && bits::subset(common, &later.row)
+            && rest.iter().all(|&w| w == 0)
     }
 
     /// Validates the assertion against the (current or final) graph:
@@ -69,16 +90,23 @@ impl Seen {
                 vec![],
             ));
         }
-        for &e in &self.logview {
-            if e.index() >= g.len() {
-                return Err(Violation::new(
-                    "SEEN-LOGVIEW",
-                    format!("observed event {e} is not in the graph"),
-                    vec![e],
-                ));
-            }
+        if let Some(e) = self.observed_ids().find(|e| e.index() >= g.len()) {
+            return Err(Violation::new(
+                "SEEN-LOGVIEW",
+                format!("observed event {e} is not in the graph"),
+                vec![e],
+            ));
         }
         Ok(())
+    }
+}
+
+impl fmt::Debug for Seen {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Seen")
+            .field("graph_len", &self.graph_len)
+            .field("logview", &self.logview())
+            .finish()
     }
 }
 
@@ -159,7 +187,7 @@ mod tests {
                     s.still_valid(&g).unwrap();
                 }
                 // The releasing thread's M₀ flowed to the acquirer.
-                assert!(outs[0].logview.is_subset(&outs[1].logview));
+                assert!(outs[0].logview().is_subset(&outs[1].logview()));
                 assert!(outs[1].observed(EventId::from_raw(0)));
             },
         );
@@ -171,12 +199,12 @@ mod tests {
         let g: Graph<QueueEvent> = Graph::new();
         let s = Seen {
             graph_len: 3,
-            logview: BTreeSet::new(),
+            row: Vec::new(),
         };
         assert_eq!(s.still_valid(&g).unwrap_err().rule, "SEEN-SNAPSHOT");
         let s = Seen {
             graph_len: 0,
-            logview: [EventId::from_raw(5)].into_iter().collect(),
+            row: vec![1 << 5],
         };
         assert_eq!(s.still_valid(&g).unwrap_err().rule, "SEEN-LOGVIEW");
     }

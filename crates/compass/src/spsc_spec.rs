@@ -168,7 +168,7 @@ mod tests {
             let src = id(i as u64);
             cons_view.insert(d);
             cons_view.insert(src);
-            cons_view.extend(g.event(src).logview.iter().copied());
+            cons_view.extend(g.logview(src));
             g.add_event(
                 QueueEvent::Deq(Val::Int(i as i64)),
                 2,
@@ -190,12 +190,7 @@ mod tests {
     #[test]
     fn third_thread_breaks_roles() {
         let mut g = spsc_graph(2);
-        g.add_event(
-            QueueEvent::Enq(Val::Int(9)),
-            3,
-            99,
-            [g.next_id()].into_iter().collect(),
-        );
+        g.add_event(QueueEvent::Enq(Val::Int(9)), 3, 99, [g.next_id()]);
         assert_eq!(check_roles(&g).unwrap_err().rule, "SPSC-ROLES");
     }
 

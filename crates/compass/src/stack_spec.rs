@@ -215,7 +215,7 @@ mod tests {
             let mut lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
             let mut closed = lv.clone();
             for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+                closed.extend(g.logview(p));
             }
             lv = closed;
             lv.insert(id(i as u64));

@@ -341,7 +341,7 @@ pub fn check_hb_ver(g: &Graph<StmEvent>) -> SpecResult {
                 vec![id],
             ));
         };
-        if !g.event(id).logview.contains(&prod) {
+        if !g.in_logview(prod, id) {
             return Err(Violation::new(
                 "STM-HB-VER",
                 format!(
@@ -395,7 +395,7 @@ mod tests {
             let mut lv: BTreeSet<EventId> = preds.iter().map(|&p| id(p)).collect();
             let mut closed = lv.clone();
             for &p in &lv {
-                closed.extend(g.event(p).logview.iter().copied());
+                closed.extend(g.logview(p));
             }
             lv = closed;
             lv.insert(id(i as u64));

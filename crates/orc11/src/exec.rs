@@ -110,6 +110,11 @@ struct ExecState {
     /// True during setup/finish: instructions execute immediately.
     solo: bool,
     n_bodies: usize,
+    /// Bodies arrived at their next instruction and not finished, and
+    /// bodies finished: the counts `maybe_decide` waits on, kept as the
+    /// flags change.
+    n_arrived: usize,
+    n_finished: usize,
     /// The global SC frontier joined/published by SC fences.
     sc: Frontier,
     /// Recorded instructions (when `Config::record_ops`).
@@ -129,6 +134,10 @@ struct ExecState {
     pending_decision: Option<(u32, u64)>,
     /// Per-body-instruction access summaries (see [`RunOutcome::accesses`]).
     accesses: Vec<StepAccess>,
+    /// Capacities of the `trace` and `accesses` buffers the last outcome
+    /// took with it. Unless [`recycle`] hands them back, the next
+    /// execution starts with one allocation of that size for each.
+    lent: (usize, usize),
     /// Scratch for `maybe_decide` (cleared per decision, capacity kept).
     selectable: Vec<ThreadId>,
 }
@@ -148,6 +157,8 @@ impl ExecState {
             max_steps: 0,
             solo: true,
             n_bodies: 0,
+            n_arrived: 0,
+            n_finished: 0,
             sc: Frontier::new(),
             ops: None,
             stats: ExecStats::default(),
@@ -155,6 +166,7 @@ impl ExecState {
             cur_ghost: false,
             pending_decision: None,
             accesses: Vec::new(),
+            lent: (0, 0),
             selectable: Vec::new(),
         }
     }
@@ -335,9 +347,7 @@ fn maybe_decide(st: &mut ExecState) {
     } = st;
     let bodies = &threads[1..=st.n_bodies];
     let arrived = |t: &ThreadSlot| !t.finished && t.arrived;
-    let n_finished = bodies.iter().filter(|t| t.finished).count();
-    let n_arrived = bodies.iter().filter(|t| arrived(t)).count();
-    if n_arrived == 0 || n_arrived + n_finished != bodies.len() {
+    if st.n_arrived == 0 || st.n_arrived + st.n_finished != bodies.len() {
         return;
     }
     // A thread blocked in read_await is only selectable if a satisfying
@@ -411,6 +421,7 @@ impl ThreadCtx {
         if !st.solo {
             st.threads[tid].waiting = waiting;
             st.threads[tid].arrived = true;
+            st.n_arrived += 1;
             maybe_decide(&mut st);
             // Unless the decision scheduled this very thread, hand the
             // OS thread back to the driver, which resumes whoever is
@@ -463,6 +474,7 @@ impl ThreadCtx {
             });
             st.current = None;
             st.threads[tid].arrived = false;
+            st.n_arrived -= 1;
         }
         match res {
             // The thread keeps running: the next decision can only happen
@@ -477,8 +489,9 @@ impl ThreadCtx {
         }
     }
 
-    /// Allocates a fresh location named `name`, initialized to `init`.
-    pub fn alloc(&mut self, name: &str, init: Val) -> Loc {
+    /// Allocates a fresh location named `name` (anything printable, so a
+    /// computed name costs no `String`), initialized to `init`.
+    pub fn alloc(&mut self, name: impl fmt::Display, init: Val) -> Loc {
         self.with_step(None, |st, tid| {
             st.cur_kind = AccessKind::Alloc;
             let loc = {
@@ -495,7 +508,7 @@ impl ThreadCtx {
 
     /// Allocates a contiguous block of locations (a record); address the
     /// fields with [`Loc::field`].
-    pub fn alloc_block(&mut self, name: &str, inits: &[Val]) -> Loc {
+    pub fn alloc_block(&mut self, name: impl fmt::Display, inits: &[Val]) -> Loc {
         let n = inits.len() as u32;
         self.with_step(None, |st, tid| {
             st.cur_kind = AccessKind::Alloc;
@@ -514,12 +527,12 @@ impl ThreadCtx {
     /// Allocates a location whose initializing write is atomic — use for
     /// locations only ever accessed atomically, so that unsynchronized
     /// atomic readers do not race with the initialization.
-    pub fn alloc_atomic(&mut self, name: &str, init: Val) -> Loc {
+    pub fn alloc_atomic(&mut self, name: impl fmt::Display, init: Val) -> Loc {
         self.alloc_block_atomic(name, &[init])
     }
 
     /// Block version of [`ThreadCtx::alloc_atomic`].
-    pub fn alloc_block_atomic(&mut self, name: &str, inits: &[Val]) -> Loc {
+    pub fn alloc_block_atomic(&mut self, name: impl fmt::Display, inits: &[Val]) -> Loc {
         let n = inits.len() as u32;
         self.with_step(None, |st, tid| {
             st.cur_kind = AccessKind::Alloc;
@@ -1023,6 +1036,12 @@ impl fmt::Debug for StrategyInit<'_> {
 /// Resets the pooled execution state for a new run, retaining every
 /// allocation-heavy buffer. Debug builds assert nothing was rebuilt.
 fn reset_state(st: &mut ExecState, cfg: &Config, n: usize, init: StrategyInit<'_>) {
+    if st.trace.capacity() == 0 {
+        st.trace.reserve_exact(st.lent.0);
+    }
+    if st.accesses.capacity() == 0 {
+        st.accesses.reserve_exact(st.lent.1);
+    }
     #[cfg(debug_assertions)]
     let fp = (
         st.trace.as_ptr(),
@@ -1060,6 +1079,8 @@ fn reset_state(st: &mut ExecState, cfg: &Config, n: usize, init: StrategyInit<'_
     st.max_steps = cfg.max_steps;
     st.solo = true;
     st.n_bodies = n;
+    st.n_arrived = 0;
+    st.n_finished = 0;
     st.sc.clear();
     st.ops = cfg.record_ops.then(Vec::new);
     st.stats = ExecStats::default();
@@ -1138,6 +1159,25 @@ where
     out
 }
 
+/// Hands an outcome's trace and access buffers back to the calling
+/// thread's pooled arena, for its next execution to record into.
+pub(crate) fn recycle<R>(out: RunOutcome<R>) {
+    let RunOutcome {
+        trace, accesses, ..
+    } = out;
+    ARENA.with(|a| {
+        if let Some(arena) = &*a.borrow() {
+            let mut st = arena.shared.state.borrow_mut();
+            if st.trace.capacity() == 0 {
+                st.trace = trace;
+            }
+            if st.accesses.capacity() == 0 {
+                st.accesses = accesses;
+            }
+        }
+    });
+}
+
 fn run_in_arena<S, O, R>(
     arena: &mut ExecArena,
     cfg: &Config,
@@ -1160,14 +1200,18 @@ where
         let ops = st.ops.take().unwrap_or_default();
         st.stats.steps = st.steps;
         st.stats.races = u64::from(matches!(&result, Err(ModelError::Race(_))));
+        // The outcome takes the pooled buffers; a driver done with it
+        // hands them back (`recycle`).
+        let trace = std::mem::take(&mut st.trace);
+        let accesses = std::mem::take(&mut st.accesses);
+        st.lent = (trace.capacity(), accesses.capacity());
         RunOutcome {
             result,
             steps: st.steps,
-            trace: st.trace.clone(),
+            trace,
             ops,
             stats: st.stats,
-            // Clone (not take): the buffer's capacity stays pooled.
-            accesses: st.accesses.clone(),
+            accesses,
         }
     };
 
@@ -1220,6 +1264,12 @@ where
                 };
                 let r = catch_unwind(AssertUnwindSafe(|| body(&mut ctx, s_ref)));
                 let mut st = task_shared.state.borrow_mut();
+                // A body that unwinds from a turnstile wait is still
+                // arrived.
+                if st.threads[tid].arrived {
+                    st.n_arrived -= 1;
+                }
+                st.n_finished += 1;
                 st.threads[tid].finished = true;
                 st.threads[tid].arrived = false;
                 if st.current == Some(tid) {

@@ -121,4 +121,4 @@ pub use trace::{Phase, PhaseNs};
 pub use tview::ThreadView;
 pub use val::{Loc, ThreadId, Val};
 pub use view::{Timestamp, View};
-pub use work::{StrategyDesc, WorkSource, WorkSpec};
+pub use work::{Batch, StrategyDesc, WorkSource, WorkSpec};

@@ -248,8 +248,14 @@ impl Memory {
     }
 
     /// Allocates a fresh location with an initializing write of `init`.
-    pub fn alloc(&mut self, name: &str, init: Val, tv: &mut ThreadView, tid: ThreadId) -> Loc {
-        self.alloc_block(name, &[init], tv, tid)
+    pub fn alloc(
+        &mut self,
+        name: impl fmt::Display,
+        init: Val,
+        tv: &mut ThreadView,
+        tid: ThreadId,
+    ) -> Loc {
+        self.alloc_block_mode(&name, &[init], false, tv, tid)
     }
 
     /// Allocates `inits.len()` contiguous locations; `Loc::field` addresses
@@ -260,12 +266,12 @@ impl Memory {
     /// Panics if `inits` is empty.
     pub fn alloc_block(
         &mut self,
-        name: &str,
+        name: impl fmt::Display,
         inits: &[Val],
         tv: &mut ThreadView,
         tid: ThreadId,
     ) -> Loc {
-        self.alloc_block_mode(name, inits, false, tv, tid)
+        self.alloc_block_mode(&name, inits, false, tv, tid)
     }
 
     /// Like [`Memory::alloc_block`], but the initializing writes are
@@ -278,17 +284,17 @@ impl Memory {
     /// Panics if `inits` is empty.
     pub fn alloc_block_atomic(
         &mut self,
-        name: &str,
+        name: impl fmt::Display,
         inits: &[Val],
         tv: &mut ThreadView,
         tid: ThreadId,
     ) -> Loc {
-        self.alloc_block_mode(name, inits, true, tv, tid)
+        self.alloc_block_mode(&name, inits, true, tv, tid)
     }
 
     fn alloc_block_mode(
         &mut self,
-        name: &str,
+        name: &dyn fmt::Display,
         inits: &[Val],
         atomic: bool,
         tv: &mut ThreadView,
@@ -315,7 +321,7 @@ impl Memory {
             let slot = &mut self.locs[self.live];
             slot.name.clear();
             if inits.len() == 1 {
-                slot.name.push_str(name);
+                let _ = write!(slot.name, "{name}");
             } else {
                 let _ = write!(slot.name, "{name}[{i}]");
             }

@@ -111,6 +111,7 @@ fn drive<M, S>(
             }
             report.record(&desc, &out);
             sink.on_outcome(&desc, &out);
+            crate::exec::recycle(out);
             // Live telemetry: a relaxed counter bump per execution, read
             // by the sampler thread. Stores only — never an exploration
             // decision (see crate::telemetry).

@@ -165,6 +165,42 @@ impl SeedKind {
     }
 }
 
+/// A claimed batch of work ([`WorkSource::claim`]): a run of seeds, or
+/// one DFS prefix. It iterates its descriptors; claiming a DFS prefix
+/// allocates nothing.
+#[derive(Debug)]
+pub struct Batch(Claimed);
+
+#[derive(Debug)]
+enum Claimed {
+    Seeds {
+        kind: SeedKind,
+        seeds: std::ops::Range<u64>,
+    },
+    One(Option<StrategyDesc>),
+}
+
+impl Iterator for Batch {
+    type Item = StrategyDesc;
+
+    fn next(&mut self) -> Option<StrategyDesc> {
+        match &mut self.0 {
+            Claimed::Seeds { kind, seeds } => seeds.next().map(|seed| kind.desc(seed)),
+            Claimed::One(desc) => desc.take(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match &self.0 {
+            Claimed::Seeds { seeds, .. } => seeds.end.saturating_sub(seeds.start) as usize,
+            Claimed::One(desc) => usize::from(desc.is_some()),
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Batch {}
+
 /// A frontier entry: the forced choice prefix plus which worker pushed
 /// it, so a claim by a *different* worker counts as a steal in the
 /// load-balance stats. The producer is bookkeeping only — it never
@@ -292,7 +328,7 @@ impl WorkSource {
     /// over (budget reached, or nothing left and no worker can produce
     /// more). Blocks when the DFS frontier is momentarily empty but
     /// other workers are still running.
-    pub fn claim(&self, worker: usize) -> Option<Vec<StrategyDesc>> {
+    pub fn claim(&self, worker: usize) -> Option<Batch> {
         let mut st = self.state.lock();
         if st.workers.len() <= worker {
             st.workers.resize(worker + 1, WorkerStats::default());
@@ -305,11 +341,11 @@ impl WorkSource {
                         return None;
                     }
                     let n = SEED_CHUNK.min(*end - *next);
-                    let batch = (*next..*next + n).map(|seed| kind.desc(seed)).collect();
+                    let seeds = *next..*next + n;
                     *next += n;
                     workers[worker].executed += n;
                     telemetry::gauge_worker(worker, &workers[worker]);
-                    return Some(batch);
+                    return Some(Batch(Claimed::Seeds { kind: *kind, seeds }));
                 }
                 State::Dfs {
                     frontier,
@@ -330,9 +366,9 @@ impl WorkSource {
                         }
                         telemetry::gauge_worker(worker, &workers[worker]);
                         gauge_frontier_depth(frontier.len() as u64);
-                        return Some(vec![StrategyDesc::Dfs {
+                        return Some(Batch(Claimed::One(Some(StrategyDesc::Dfs {
                             prefix: prefix.choices,
-                        }]);
+                        }))));
                     }
                     // An empty frontier is a sample too — and the one
                     // event that gives a worker which never got a prefix
@@ -411,7 +447,8 @@ impl WorkSource {
                     for d in prefix.len()..trace.len() {
                         let c = trace[d];
                         for a in (c.chosen + 1..c.arity).rev() {
-                            let mut p: Vec<u32> = trace[..d].iter().map(|c| c.chosen).collect();
+                            let mut p = Vec::with_capacity(d + 1);
+                            p.extend(trace[..d].iter().map(|c| c.chosen));
                             p.push(a);
                             frontier.push(Prefix {
                                 choices: p,

@@ -114,7 +114,7 @@ impl ModelTml {
         ModelTml {
             glb: ctx.alloc_atomic(m.glb, Val::Int(0)),
             data: (0..n_keys)
-                .map(|k| ctx.alloc_atomic(&format!("{}{k}", m.data), Val::Int(0)))
+                .map(|k| ctx.alloc_atomic(format_args!("{}{k}", m.data), Val::Int(0)))
                 .collect(),
             obj: LibObj::new(m.obj),
             m,

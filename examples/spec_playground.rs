@@ -23,29 +23,14 @@ fn main() {
     // A consistent history: two ordered enqueues, dequeued in order by a
     // consumer that synchronized with both.
     let mut good: Graph<QueueEvent> = Graph::new();
-    good.add_event(
-        QueueEvent::Enq(Val::Int(41)),
-        1,
-        1,
-        [id(0)].into_iter().collect(),
-    );
-    good.add_event(
-        QueueEvent::Enq(Val::Int(42)),
-        1,
-        2,
-        [id(0), id(1)].into_iter().collect(),
-    );
-    good.add_event(
-        QueueEvent::Deq(Val::Int(41)),
-        2,
-        3,
-        [id(0), id(1), id(2)].into_iter().collect(),
-    );
+    good.add_event(QueueEvent::Enq(Val::Int(41)), 1, 1, [id(0)]);
+    good.add_event(QueueEvent::Enq(Val::Int(42)), 1, 2, [id(0), id(1)]);
+    good.add_event(QueueEvent::Deq(Val::Int(41)), 2, 3, [id(0), id(1), id(2)]);
     good.add_event(
         QueueEvent::Deq(Val::Int(42)),
         3,
         4,
-        [id(0), id(1), id(2), id(3)].into_iter().collect(),
+        [id(0), id(1), id(2), id(3)],
     );
     good.add_so(id(0), id(2));
     good.add_so(id(1), id(3));
@@ -58,24 +43,9 @@ fn main() {
     // The same history with the dequeues swapped: the second enqueue is
     // taken while the (hb-earlier) first is still in the queue.
     let mut bad: Graph<QueueEvent> = Graph::new();
-    bad.add_event(
-        QueueEvent::Enq(Val::Int(41)),
-        1,
-        1,
-        [id(0)].into_iter().collect(),
-    );
-    bad.add_event(
-        QueueEvent::Enq(Val::Int(42)),
-        1,
-        2,
-        [id(0), id(1)].into_iter().collect(),
-    );
-    bad.add_event(
-        QueueEvent::Deq(Val::Int(42)),
-        2,
-        3,
-        [id(0), id(1), id(2)].into_iter().collect(),
-    );
+    bad.add_event(QueueEvent::Enq(Val::Int(41)), 1, 1, [id(0)]);
+    bad.add_event(QueueEvent::Enq(Val::Int(42)), 1, 2, [id(0), id(1)]);
+    bad.add_event(QueueEvent::Deq(Val::Int(42)), 2, 3, [id(0), id(1), id(2)]);
     bad.add_so(id(1), id(2));
     println!("\n— the same shape dequeued out of order —");
     match check_queue_consistent(&bad) {
@@ -86,18 +56,8 @@ fn main() {
     // An empty dequeue that happens-after an un-dequeued enqueue: the
     // QUEUE-EMPDEQ condition — the engine behind Figure 1's guarantee.
     let mut emp: Graph<QueueEvent> = Graph::new();
-    emp.add_event(
-        QueueEvent::Enq(Val::Int(7)),
-        1,
-        1,
-        [id(0)].into_iter().collect(),
-    );
-    emp.add_event(
-        QueueEvent::EmpDeq,
-        2,
-        2,
-        [id(0), id(1)].into_iter().collect(),
-    );
+    emp.add_event(QueueEvent::Enq(Val::Int(7)), 1, 1, [id(0)]);
+    emp.add_event(QueueEvent::EmpDeq, 2, 2, [id(0), id(1)]);
     println!("\n— an empty dequeue that has seen an undelivered enqueue —");
     match check_queue_consistent(&emp) {
         Ok(()) => println!("QueueConsistent: ✓ (unexpected!)"),
@@ -107,13 +67,8 @@ fn main() {
     // The same empty dequeue WITHOUT the lhb edge: a weak (relaxed)
     // dequeue that simply had not seen the enqueue — allowed.
     let mut weak: Graph<QueueEvent> = Graph::new();
-    weak.add_event(
-        QueueEvent::Enq(Val::Int(7)),
-        1,
-        1,
-        [id(0)].into_iter().collect(),
-    );
-    weak.add_event(QueueEvent::EmpDeq, 2, 2, [id(1)].into_iter().collect());
+    weak.add_event(QueueEvent::Enq(Val::Int(7)), 1, 1, [id(0)]);
+    weak.add_event(QueueEvent::EmpDeq, 2, 2, [id(1)]);
     println!("\n— the same empty dequeue, unsynchronized —");
     match check_queue_consistent(&weak) {
         Ok(()) => println!(

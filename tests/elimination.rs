@@ -51,7 +51,7 @@ fn eliminated_pairs_are_atomic_and_matched() {
             if pa.step == ob.step {
                 // An eliminated pair: same instruction, mutual logviews,
                 // matching values.
-                assert!(pa.logview.contains(&b) && ob.logview.contains(&a));
+                assert!(es.lhb(b, a) && es.lhb(a, b));
                 match (&pa.ty, &ob.ty) {
                     (StackEvent::Push(v), StackEvent::Pop(w)) => assert_eq!(v, w),
                     other => panic!("bad eliminated pair {other:?}"),

@@ -36,7 +36,7 @@ fn figure3_annotations_hold() {
                 // Left thread: { SeenQueue(q, ∅, ∅) } enq; enq; flag :=ʳᵉˡ 1.
                 Box::new(|ctx: &mut ThreadCtx, (q, flag): &(MsQueue, Loc)| {
                     let s_init = Seen::capture(q.obj(), ctx);
-                    assert!(s_init.logview.is_empty(), "starts with M = ∅");
+                    assert!(s_init.logview().is_empty(), "starts with M = ∅");
                     let e1 = q.enqueue(ctx, Val::Int(41));
                     let e2 = q.enqueue(ctx, Val::Int(42));
                     // { SeenQueue(q, G₁, {e₁, e₂}) }

@@ -79,7 +79,7 @@ fn queue_graph(ops: &[Op], full_visibility: bool) -> Graph<QueueEvent> {
                     // logview.
                     let mut lv = logview;
                     lv.insert(src);
-                    lv.extend(g.event(src).logview.iter().copied());
+                    lv.extend(g.logview(src));
                     g.add_event(QueueEvent::Deq(Val::Int(v)), 1, step, lv);
                     g.add_so(src, id);
                 }
@@ -113,7 +113,7 @@ fn stack_graph(ops: &[Op], full_visibility: bool) -> Graph<StackEvent> {
                 Some((v, src)) => {
                     let mut lv = logview;
                     lv.insert(src);
-                    lv.extend(g.event(src).logview.iter().copied());
+                    lv.extend(g.logview(src));
                     g.add_event(StackEvent::Pop(Val::Int(v)), 1, step, lv);
                     g.add_so(src, id);
                 }
@@ -189,11 +189,11 @@ fn corrupting_a_dequeue_value_is_caught() {
             .find(|(_, e)| matches!(e.ty, QueueEvent::Deq(_)))
             .map(|(id, _)| id);
         let Some(victim) = victim else { continue };
-        let mut events: Vec<_> = g.iter().map(|(_, e)| e.clone()).collect();
-        events[victim.index()].ty = QueueEvent::Deq(Val::Int(999));
+        let mut events: Vec<_> = g.iter().map(|(id, e)| (e.clone(), g.logview(id))).collect();
+        events[victim.index()].0.ty = QueueEvent::Deq(Val::Int(999));
         let mut g2: Graph<QueueEvent> = Graph::new();
-        for e in events {
-            g2.add_event(e.ty, e.tid, e.step, e.logview);
+        for (e, logview) in events {
+            g2.add_event(e.ty, e.tid, e.step, logview);
         }
         for &(a, b) in g.so() {
             g2.add_so(a, b);
@@ -212,8 +212,8 @@ fn dropping_an_so_edge_is_caught() {
         }
         let drop_edge = *g.so().iter().next().unwrap();
         let mut g2: Graph<QueueEvent> = Graph::new();
-        for (_, e) in g.iter() {
-            g2.add_event(e.ty, e.tid, e.step, e.logview.clone());
+        for (id, e) in g.iter() {
+            g2.add_event(e.ty, e.tid, e.step, g.logview(id));
         }
         for &(a, b) in g.so() {
             if (a, b) != drop_edge {
@@ -271,21 +271,22 @@ fn prefix_graphs_stay_well_formed() {
 // ---------------------------------------------------------------------
 
 fn ref_lhb<T>(g: &Graph<T>, e: EventId, d: EventId) -> bool {
-    e != d && g.event(d).logview.contains(&e)
+    e != d && g.logview(d).contains(&e)
 }
 
 /// First well-formedness violation as `(rule, events)`.
 fn ref_well_formed<T>(g: &Graph<T>) -> Result<(), (&'static str, Vec<EventId>)> {
     let n = g.len() as u64;
-    for (id, ev) in g.iter() {
-        if let Some(&e) = ev.logview.iter().find(|e| e.raw() >= n) {
+    for (id, _) in g.iter() {
+        let logview = g.logview(id);
+        if let Some(&e) = logview.iter().find(|e| e.raw() >= n) {
             return Err(("WF-LOGVIEW", vec![id, e]));
         }
-        if !ev.logview.contains(&id) {
+        if !logview.contains(&id) {
             return Err(("WF-SELF", vec![id]));
         }
-        for &e in &ev.logview {
-            if e != id && !g.event(e).logview.is_subset(&ev.logview) {
+        for &e in &logview {
+            if e != id && !g.logview(e).is_subset(&logview) {
                 return Err(("WF-CLOSED", vec![id, e]));
             }
         }
@@ -306,8 +307,8 @@ fn ref_find_linearization<I: SeqInterp>(
     let n = g.len();
     let mut preds: Vec<Vec<usize>> = g
         .iter()
-        .map(|(id, ev)| {
-            let others = ev.logview.iter().filter(|&&e| e != id);
+        .map(|(id, _)| {
+            let others = g.logview(id).into_iter().filter(|&e| e != id);
             others.map(|e| e.index()).collect()
         })
         .collect();
@@ -317,7 +318,7 @@ fn ref_find_linearization<I: SeqInterp>(
     for (i, pred) in preds.iter_mut().enumerate() {
         let me = EventId::from_raw(i as u64);
         pred.retain(|&p| {
-            let mutual = g.event(EventId::from_raw(p as u64)).logview.contains(&me);
+            let mutual = g.logview(EventId::from_raw(p as u64)).contains(&me);
             !(mutual && p > i)
         });
     }
@@ -388,11 +389,10 @@ fn ref_to_dot_flagged<T: std::fmt::Debug>(g: &Graph<T>, name: &str, flagged: &[E
     for &(a, b) in g.so() {
         let _ = writeln!(out, "  {a} -> {b} [color=blue, penwidth=2];");
     }
-    for (d, ev) in g.iter() {
-        let preds: Vec<EventId> = ev
-            .logview
-            .iter()
-            .copied()
+    for (d, _) in g.iter() {
+        let preds: Vec<EventId> = g
+            .logview(d)
+            .into_iter()
             .filter(|&e| e != d && !(ref_lhb(g, d, e) && e > d))
             .collect();
         for &e in &preds {
@@ -412,7 +412,7 @@ fn ref_topological_order<T>(g: &Graph<T>) -> Vec<EventId> {
     let before = |e: EventId, d: EventId| ref_lhb(g, e, d) && !ref_lhb(g, d, e);
     let mut indegree: Vec<usize> = g
         .iter()
-        .map(|(d, ev)| ev.logview.iter().filter(|&&e| before(e, d)).count())
+        .map(|(d, _)| g.logview(d).into_iter().filter(|&e| before(e, d)).count())
         .collect();
     let mut placed = vec![false; g.len()];
     let mut order = Vec::new();
@@ -757,7 +757,7 @@ fn topological_witness_order_is_unchanged() {
         let g = gen_graph(seed, Defect::None);
         let mut x: Graph<ExchangeEvent> = Graph::new();
         for (id, ev) in g.iter() {
-            x.add_event(xchg(id.raw() as i64), ev.tid, ev.step, ev.logview.clone());
+            x.add_event(xchg(id.raw() as i64), ev.tid, ev.step, g.logview(id));
         }
         assert_eq!(
             conform::linearize(&x),
